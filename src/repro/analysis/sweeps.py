@@ -120,12 +120,8 @@ def rank_correlation(ours: Sequence[float], reference: Sequence[float]) -> float
     Figure 5 orderings track the paper's published columns."""
     if len(ours) != len(reference) or len(ours) < 3:
         raise ConfigurationError("need two equal series of length >= 3")
-    try:
-        from scipy.stats import spearmanr
+    # scipy.stats is imported here, not at module scope: loading it costs
+    # about half a second that every other caller of the package would pay
+    from scipy.stats import spearmanr
 
-        rho = spearmanr(ours, reference).statistic
-        return float(rho)
-    except ImportError:  # pragma: no cover - scipy is present in CI
-        a = np.argsort(np.argsort(ours)).astype(float)
-        b = np.argsort(np.argsort(reference)).astype(float)
-        return float(np.corrcoef(a, b)[0, 1])
+    return float(spearmanr(ours, reference).statistic)

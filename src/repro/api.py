@@ -4,17 +4,15 @@ Every operation the library offers — run a fault-injection campaign,
 expose a code to the simulated beam, profile it, predict its FIT rates —
 is reachable from here with consistent, keyword-only parameters:
 
-* ``seed=`` — int root seed (the only RNG spelling; see
-  :func:`repro.common.rng.resolve_rngs` for the deprecation path),
+* ``seed=`` — int root seed (the only RNG spelling),
 * ``ecc=`` — :class:`~repro.arch.ecc.EccMode`, ``"on"``/``"off"``, or bool,
 * ``workers=`` — parallel fan-out degree (1 = in-process serial,
   0 = one per CPU), optionally with ``executor=`` to share one pool,
 * ``injections=`` — campaign size,
 * ``policy=`` — one :class:`~repro.store.policy.ExecutionPolicy` carrying
-  every run-shaping knob: durability (``store``/``resume``/``refresh``),
-  failure handling (``retries``/``backoff``/``on_crash``) and execution
-  strategy (``replay``/``snapshots_per_run``); the former per-knob kwargs
-  still work through a one-shot deprecation shim (``docs/API.md``).
+  every run-shaping knob: durability (``store``/``refresh``), failure
+  handling (``retries``/``backoff``/``on_crash``) and execution strategy
+  (``replay``/``snapshots_per_run``/``batch_eval``) — ``docs/API.md``.
 
 Devices and workloads accept either library objects or names:
 ``device="kepler"`` / ``"volta"`` pick the paper's Tesla K40c / V100, and a
@@ -99,11 +97,9 @@ from repro.service import (
 from repro.store import (
     CampaignStore,
     ExecutionPolicy,
-    RunPolicy,
     ServicePolicy,
     open_store,
 )
-from repro.store.store import StoreLike
 from repro.telemetry import (
     FileSink,
     MemorySink,
@@ -187,13 +183,7 @@ def run_campaign(
     workers: int = 1,
     executor: Optional[Executor] = None,
     on_result: Optional[Callable[[InjectionRecord], None]] = None,
-    store: Optional[StoreLike] = None,
-    resume: Optional[bool] = None,
-    refresh: bool = False,
-    retries: Optional[int] = None,
-    backoff: Optional[float] = None,
-    policy: Optional[RunPolicy] = None,
-    on_crash: Optional[str] = None,
+    policy: Optional[ExecutionPolicy] = None,
 ) -> CampaignResult:
     """Run a SASSIFI/NVBitFI-style fault-injection campaign.
 
@@ -202,37 +192,27 @@ def run_campaign(
     back in sampling order, bit-identical for any ``workers=``.
 
     ``policy=`` (an :class:`ExecutionPolicy`) carries every run-shaping
-    knob in one object: durability (``store``/``resume``/``refresh``),
-    failure handling (``retries``/``backoff``/``on_crash``) and execution
-    strategy (``replay``/``snapshots_per_run``).  Checkpoint/replay is on
+    knob in one object: durability (``store``/``refresh``), failure
+    handling (``retries``/``backoff``/``on_crash``) and execution strategy
+    (``replay``/``snapshots_per_run``/``batch_eval``).  Checkpoint/replay is on
     by default — injections fork from the nearest golden snapshot and
     execute only the post-fault suffix, bit-identical to a full
     re-execution (``docs/PERFORMANCE.md``); ``ExecutionPolicy(replay=False)``
     forces the vanilla path.  With a store, completed task chunks are
     checkpointed and an interrupted campaign resumes where it left off
     (``docs/STORAGE.md``); ``on_crash`` is the sandbox containment policy
-    for unexpected crashes (``docs/ROBUSTNESS.md``).
-
-    The individual ``store=``/``resume=``/``refresh=``/``retries=``/
-    ``backoff=``/``on_crash=`` kwargs are a deprecated spelling of the same
-    policy fields: they still work but warn once — see the migration table
-    in ``docs/API.md``.
+    for unexpected crashes (``docs/ROBUSTNESS.md``).  ``policy=None``
+    means no store and no retries.
     """
     dev = as_device(device)
     runner = CampaignRunner(
         dev,
         as_framework(framework),
+        as_ecc(ecc),
         seed=seed,
-        ecc=as_ecc(ecc),
         workers=workers,
         executor=executor,
-        store=store,
-        resume=resume,
-        refresh=refresh,
-        retries=retries,
-        backoff=backoff,
         policy=policy,
-        on_crash=on_crash,
     )
     return runner.run(as_workload(workload, dev, seed), injections, on_result=on_result)
 
@@ -251,13 +231,7 @@ def run_beam(
     facility: Facility = CHIPIR,
     catalog: Optional[CrossSectionCatalog] = None,
     on_result: Optional[Callable] = None,
-    store: Optional[StoreLike] = None,
-    resume: Optional[bool] = None,
-    refresh: bool = False,
-    retries: Optional[int] = None,
-    backoff: Optional[float] = None,
-    policy: Optional[RunPolicy] = None,
-    on_crash: Optional[str] = None,
+    policy: Optional[ExecutionPolicy] = None,
 ) -> BeamResult:
     """Expose one code to the simulated accelerated neutron beam and
     measure its SDC/DUE FIT rates (§III-C protocol).
@@ -266,14 +240,11 @@ def run_beam(
     :class:`ExecutionPolicy` for durability, failure handling and
     checkpoint/replay; the mechanistic fault evaluations (the wall-clock
     bulk of a beam run) replay from golden snapshots and, with a store,
-    checkpoint chunk by chunk.  The legacy ``store=``/``resume=``/
-    ``refresh=``/``retries=``/``backoff=``/``on_crash=`` kwargs still work
-    through a one-shot deprecation shim (``docs/API.md``)."""
+    checkpoint chunk by chunk."""
     dev = as_device(device)
     experiment = BeamExperiment(
         dev, facility=facility, catalog=catalog, seed=seed, workers=workers,
-        executor=executor, store=store, resume=resume, refresh=refresh,
-        retries=retries, backoff=backoff, policy=policy, on_crash=on_crash,
+        executor=executor, policy=policy,
     )
     return experiment.run(
         as_workload(workload, dev, seed),
@@ -310,12 +281,7 @@ def predict(
     injections: int = 200,
     workers: int = 1,
     session: Optional[ExperimentSession] = None,
-    policy: Optional[RunPolicy] = None,
-    store: Optional[str] = None,
-    resume: Optional[bool] = None,
-    refresh: bool = False,
-    retries: Optional[int] = None,
-    on_crash: Optional[str] = None,
+    policy: Optional[ExecutionPolicy] = None,
 ) -> Tuple[FitPrediction, str]:
     """Eq. 1–4 FIT prediction for one registry code.
 
@@ -326,9 +292,7 @@ def predict(
 
     ``policy=`` (an :class:`ExecutionPolicy`) shapes every campaign, beam
     run and strike sweep the prediction computes, exactly as in
-    :func:`run_campaign`; the legacy ``store=``/``resume=``/``refresh=``/
-    ``retries=``/``on_crash=`` kwargs survive through the deprecation shim
-    (``docs/API.md``).
+    :func:`run_campaign`.
     """
     if isinstance(workload, Workload):
         raise ConfigurationError(
@@ -341,20 +305,13 @@ def predict(
     if session is None:
         session = ExperimentSession(
             ExperimentConfig(
-                seed=seed, injections=injections, workers=workers,
-                policy=policy,
-                store=store, resume=resume, refresh=refresh, retries=retries,
-                on_crash=on_crash,
+                seed=seed, injections=injections, workers=workers, policy=policy
             )
         )
-    elif (
-        policy is not None or store is not None or resume is not None
-        or refresh or retries is not None or on_crash is not None
-    ):
+    elif policy is not None:
         raise ConfigurationError(
-            "policy=/store=/resume=/refresh=/retries=/on_crash= configure a "
-            "new session; with session= they belong in that session's "
-            "ExperimentConfig"
+            "policy= configures a new session; with session= it belongs in "
+            "that session's ExperimentConfig"
         )
     return session.predict(dev.architecture, fw.name.lower(), workload, as_ecc(ecc))
 
@@ -425,7 +382,6 @@ __all__ = [
     "CampaignStore",
     "open_store",
     "ExecutionPolicy",
-    "RunPolicy",
     "StoreError",
     "ChunkQuarantinedError",
     # fault-tolerant campaign service (see docs/SERVICE.md)

@@ -63,9 +63,8 @@ class BeamEngine:
         ecc: EccMode,
         backend: str = "cuda10",
         on_crash: str = "due",
-        replay: Optional[bool] = None,
+        replay: bool = True,
         snapshots_per_run: int = 16,
-        batch_eval: Optional[bool] = None,
     ) -> None:
         self.device = device
         self.workload = workload
@@ -74,11 +73,8 @@ class BeamEngine:
         self.backend = backend
         self.secded = SecdedModel(mode=ecc)
         self.sandbox = InjectionSandbox(on_crash)
-        self.replay_enabled = True if replay is None else bool(replay)
+        self.replay_enabled = replay
         self.snapshots_per_run = snapshots_per_run
-        #: accepted for policy-threading symmetry: beam strikes are evaluated
-        #: one at a time (no chunk to batch), so the knob has no effect here
-        self.batch_eval = True if batch_eval is None else bool(batch_eval)
         self._golden: Optional[KernelRun] = None
         self._session: Optional[ReplaySession] = None
 

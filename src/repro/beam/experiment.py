@@ -36,7 +36,7 @@ from repro.beam.engine import BeamEngine
 from repro.beam.exposure import ExposureProfile, compute_exposure
 from repro.beam.facility import CHIPIR, Facility, single_fault_regime_ok
 from repro.common.errors import ConfigurationError
-from repro.common.rng import RngFactory, resolve_rngs
+from repro.common.rng import RngFactory
 from repro.common.stats import Estimate, poisson_rate_estimate
 from repro.common.units import FIT_SCALE_HOURS, TERRESTRIAL_FLUX_N_CM2_H
 from repro.exec.engine import Executor, get_executor
@@ -45,16 +45,7 @@ from repro.exec.worker import _cached_state, run_beam_chunk
 from repro.faultsim.outcomes import Outcome, StrikeEval
 from repro.faultsim.uncore import UNCORE_EXCEPTIONS
 from repro.sim.exceptions import EccDoubleBitError
-from repro.store.policy import (
-    RunPolicy,
-    batch_eval_setting,
-    replay_setting,
-    resolve_on_crash,
-    resolve_policy,
-    snapshots_setting,
-    warn_legacy_kwargs,
-)
-from repro.store.store import StoreLike
+from repro.store.policy import ExecutionPolicy
 from repro.telemetry import get_logger, get_telemetry
 from repro.workloads.base import Workload
 
@@ -150,43 +141,28 @@ class BeamExperiment:
         device: DeviceSpec,
         facility: Facility = CHIPIR,
         catalog: Optional[CrossSectionCatalog] = None,
-        rngs: Optional[RngFactory] = None,
         *,
-        seed: Optional[int] = None,
+        seed: int = 0,
         workers: int = 1,
         executor: Optional[Executor] = None,
-        store: Optional[StoreLike] = None,
-        resume: Optional[bool] = None,
-        refresh: bool = False,
-        retries: Optional[int] = None,
-        backoff: Optional[float] = None,
-        policy: Optional[RunPolicy] = None,
-        on_crash: Optional[str] = None,
+        policy: Optional[ExecutionPolicy] = None,
     ) -> None:
-        warn_legacy_kwargs(
-            "BeamExperiment",
-            store=store, resume=resume, refresh=refresh,
-            retries=retries, backoff=backoff, on_crash=on_crash,
-        )
         self.device = device
         self.facility = facility
         self.catalog = catalog if catalog is not None else catalog_for(device)
-        self.rngs = resolve_rngs(rngs, seed, "BeamExperiment")
+        self.rngs = RngFactory(seed)
         self.executor = get_executor(workers, executor)
-        self.policy = resolve_policy(
-            store=store, policy=policy, resume=resume, refresh=refresh,
-            retries=retries, backoff=backoff,
-        )
-        self.on_crash = resolve_on_crash(on_crash, self.policy)
-        self.replay_enabled = replay_setting(self.policy)
-        self.snapshots_per_run = snapshots_setting(self.policy)
-        self.batch_eval = batch_eval_setting(self.policy)
+        #: None: no store and no retries; the execution knobs take their defaults
+        self.policy = policy
+        knobs = policy or ExecutionPolicy()
+        self.on_crash = knobs.on_crash
+        self.replay_enabled = knobs.replay
+        self.snapshots_per_run = knobs.snapshots_per_run
 
     def exposure(self, workload: Workload, ecc: EccMode) -> Tuple[BeamEngine, ExposureProfile]:
         engine = BeamEngine(
             self.device, workload, self.catalog, ecc, on_crash=self.on_crash,
             replay=self.replay_enabled, snapshots_per_run=self.snapshots_per_run,
-            batch_eval=self.batch_eval,
         )
         profile = compute_exposure(self.device, workload, engine.golden, self.catalog)
         return engine, profile
@@ -256,7 +232,6 @@ class BeamExperiment:
             on_crash=self.on_crash,
             replay=self.replay_enabled,
             snapshots_per_run=self.snapshots_per_run,
-            batch_eval=self.batch_eval,
         )
         # reuse this experiment's engine (golden already computed for the
         # exposure profile) in the serial path and fork-spawned children

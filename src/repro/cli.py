@@ -538,31 +538,25 @@ def check_regression(
     return regressions
 
 
-def _cli_policy(args: argparse.Namespace):
-    """Fold the command-line durability/execution flags into one
-    ExecutionPolicy (None when nothing run-shaping was requested), so the
-    CLI drives the facade the policy-first way."""
-    from repro.store.policy import as_execution_policy, resolve_policy
+def cli_policy(args: argparse.Namespace):
+    """The ExecutionPolicy both command lines (this one and
+    ``python -m repro.experiments``) build from their run-shaping flags,
+    or None — no store, no retries — when none was given.  A flag the
+    command does not define counts as not given."""
+    from repro.store import ExecutionPolicy, open_store
 
-    run_policy = resolve_policy(
-        store=args.store,
-        resume=True if getattr(args, "resume", False) else None,
-        refresh=getattr(args, "no_cache", False),
-        retries=getattr(args, "retries", None),
-    )
-    on_crash = getattr(args, "on_crash", None)
-    replay = False if getattr(args, "no_replay", False) else None
-    batch_eval = False if getattr(args, "no_batch_eval", False) else None
-    snapshots = getattr(args, "snapshots_per_run", None)
-    if (
-        run_policy is None and on_crash is None and replay is None
-        and batch_eval is None and snapshots is None
-    ):
-        return None
-    return as_execution_policy(
-        run_policy, on_crash=on_crash, replay=replay,
-        snapshots_per_run=snapshots, batch_eval=batch_eval,
-    )
+    fields = {}
+    if getattr(args, "store", None) is not None:
+        fields["store"] = open_store(args.store)
+        fields["refresh"] = getattr(args, "no_cache", False)
+    for name in ("retries", "on_crash", "snapshots_per_run"):
+        if getattr(args, name, None) is not None:
+            fields[name] = getattr(args, name)
+    if getattr(args, "no_replay", False):
+        fields["replay"] = False
+    if getattr(args, "no_batch_eval", False):
+        fields["batch_eval"] = False
+    return ExecutionPolicy(**fields) if fields else None
 
 
 def run_campaign_cmd(args: argparse.Namespace) -> int:
@@ -581,7 +575,7 @@ def run_campaign_cmd(args: argparse.Namespace) -> int:
                 seed=args.seed,
                 ecc=as_ecc(args.ecc),
                 workers=args.workers,
-                policy=_cli_policy(args),
+                policy=cli_policy(args),
             )
             counters = telemetry.registry.counters
     except ChunkQuarantinedError as exc:
@@ -746,7 +740,7 @@ def run_due_report_cmd(args: argparse.Namespace) -> int:
     try:
         device = as_device(args.device)
         ecc = as_ecc(args.ecc)
-        policy = _cli_policy(args)
+        policy = cli_policy(args)
         beam = run_beam(
             args.workload,
             device=device,

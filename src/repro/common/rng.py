@@ -11,8 +11,7 @@ vectorized pipelines).
 from __future__ import annotations
 
 import hashlib
-import warnings
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -93,23 +92,3 @@ class RngFactory:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RngFactory(root_seed={self.root_seed})"
 
-
-def resolve_rngs(
-    rngs: Optional[RngFactory], seed: Optional[int], owner: str
-) -> RngFactory:
-    """Shared seed/RNG convention for every public entry point.
-
-    ``seed=<int>`` is the blessed spelling; the historical
-    ``rngs=RngFactory(...)`` keeps working but emits a DeprecationWarning.
-    Passing both is a configuration error.
-    """
-    if rngs is not None:
-        if seed is not None:
-            raise ValueError(f"{owner}: pass either seed= or rngs=, not both")
-        warnings.warn(
-            f"{owner}(rngs=...) is deprecated; pass seed=<int> instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return rngs
-    return RngFactory(seed if seed is not None else 0)

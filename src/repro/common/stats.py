@@ -12,36 +12,26 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-# scipy is available in this environment; chi2 gives the exact ("garwood")
-# Poisson interval.  Fall back to the normal approximation if scipy is absent
-# so the core library still imports with NumPy alone.
-try:  # pragma: no cover - import guard
-    from scipy.stats import chi2 as _chi2
-
-    _HAVE_SCIPY = True
-except Exception:  # pragma: no cover
-    _HAVE_SCIPY = False
+from scipy.special import gammaincinv, ndtri
 
 
 def poisson_ci(count: float, confidence: float = 0.95) -> Tuple[float, float]:
-    """Exact two-sided confidence interval for a Poisson mean.
+    """Exact ("Garwood") two-sided confidence interval for a Poisson mean.
 
     Returns the (lower, upper) bounds on the expected count given an observed
-    ``count``.  For count == 0 the lower bound is 0.
+    ``count``: the ``alpha/2`` quantile of Gamma(count) and the
+    ``1 - alpha/2`` quantile of Gamma(count + 1) — the same numbers as the
+    textbook ``chi2.ppf(p, 2k) / 2`` form.  For count == 0 the lower bound
+    is 0.
     """
     if count < 0:
         raise ValueError("count must be non-negative")
     alpha = 1.0 - confidence
     if not 0 < alpha < 1:
         raise ValueError("confidence must be in (0, 1)")
-    if _HAVE_SCIPY:
-        lower = 0.0 if count == 0 else float(_chi2.ppf(alpha / 2.0, 2.0 * count) / 2.0)
-        upper = float(_chi2.ppf(1.0 - alpha / 2.0, 2.0 * count + 2.0) / 2.0)
-        return lower, upper
-    # Normal approximation with a continuity floor; adequate for count >~ 10.
-    z = _z_value(confidence)
-    half = z * math.sqrt(max(count, 1.0))
-    return max(0.0, count - half), count + half + 1.0
+    lower = 0.0 if count == 0 else float(gammaincinv(count, alpha / 2.0))
+    upper = float(gammaincinv(count + 1.0, 1.0 - alpha / 2.0))
+    return lower, upper
 
 
 def wilson_ci(successes: int, trials: int, confidence: float = 0.95) -> Tuple[float, float]:
@@ -63,11 +53,7 @@ def _z_value(confidence: float) -> float:
     table = {0.90: 1.6449, 0.95: 1.9600, 0.99: 2.5758}
     if confidence in table:
         return table[confidence]
-    if _HAVE_SCIPY:  # pragma: no cover - uncommon path
-        from scipy.stats import norm
-
-        return float(norm.ppf(1.0 - (1.0 - confidence) / 2.0))
-    raise ValueError(f"unsupported confidence level {confidence} without scipy")
+    return float(ndtri(1.0 - (1.0 - confidence) / 2.0))
 
 
 def ratio(measured: float, predicted: float) -> float:

@@ -26,7 +26,7 @@ This package fans those evaluations out over worker processes:
   campaigns (used by the ``repro.experiments`` CLI), also consumable as a
   telemetry :class:`~repro.telemetry.events.EventSink`.
 
-Durability is layered on through ``run_chunks(..., policy=RunPolicy)``:
+Durability is layered on through ``run_chunks(..., policy=ExecutionPolicy)``:
 completed chunks checkpoint to a :mod:`repro.store` backend and replay on
 resume, failing chunks retry with backoff and quarantine — see
 ``docs/STORAGE.md``.

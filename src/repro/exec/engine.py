@@ -11,7 +11,7 @@ identical across executors and worker counts — the executor choice is
 purely a wall-clock decision.
 
 Durability rides on the optional ``policy=`` argument (a
-:class:`~repro.store.policy.RunPolicy`):
+:class:`~repro.store.policy.ExecutionPolicy`):
 
 * with a store, every chunk is fingerprinted
   (:func:`repro.store.fingerprint.chunk_fingerprints`); completed chunks
@@ -45,7 +45,7 @@ from repro.common.errors import (
 )
 from repro.exec.tasks import ChunkResult
 from repro.store.fingerprint import chunk_fingerprints, context_kind, context_payload
-from repro.store.policy import RunPolicy
+from repro.store.policy import ExecutionPolicy
 from repro.telemetry import get_telemetry
 from repro.telemetry.metrics import Snapshot
 
@@ -78,7 +78,7 @@ def default_chunksize(n_tasks: int, workers: int) -> int:
 
 
 def _fingerprints(
-    policy: Optional[RunPolicy], context: Any, chunks: Sequence[Sequence[Any]]
+    policy: Optional[ExecutionPolicy], context: Any, chunks: Sequence[Sequence[Any]]
 ) -> Tuple[Optional[List[str]], Optional[dict]]:
     """Chunk fingerprints and the context payload they hash when a store is
     in force, else ``(None, None)``.
@@ -96,7 +96,7 @@ def _fingerprints(
 
 
 def _load_cached(
-    policy: Optional[RunPolicy], fingerprint: Optional[str]
+    policy: Optional[ExecutionPolicy], fingerprint: Optional[str]
 ) -> Optional[Tuple[List[Any], Optional[Snapshot]]]:
     """Replay one completed chunk from the store, when allowed and present."""
     if policy is None or fingerprint is None or not policy.read_allowed:
@@ -137,7 +137,7 @@ def chunk_meta(payload: dict, chunk: Sequence[Any], sequence: int) -> dict:
 
 
 def _commit(
-    policy: Optional[RunPolicy],
+    policy: Optional[ExecutionPolicy],
     fingerprint: Optional[str],
     kind: str,
     payload: Optional[dict],
@@ -160,7 +160,7 @@ def _commit(
 
 
 def _quarantine(
-    policy: Optional[RunPolicy],
+    policy: Optional[ExecutionPolicy],
     fingerprint: Optional[str],
     kind: str,
     error: BaseException,
@@ -177,7 +177,7 @@ def _evaluate_with_retry(
     fn: ChunkFn,
     context: Any,
     chunk: Sequence[Any],
-    policy: Optional[RunPolicy],
+    policy: Optional[ExecutionPolicy],
     fingerprint: Optional[str],
     kind: str,
     chunk_index: int,
@@ -239,7 +239,7 @@ class Executor(Protocol):
         context: Any,
         tasks: Sequence[Any],
         on_result: ResultHook = None,
-        policy: Optional[RunPolicy] = None,
+        policy: Optional[ExecutionPolicy] = None,
     ) -> List[Any]:
         ...
 
@@ -258,7 +258,7 @@ class SerialExecutor:
         context: Any,
         tasks: Sequence[Any],
         on_result: ResultHook = None,
-        policy: Optional[RunPolicy] = None,
+        policy: Optional[ExecutionPolicy] = None,
     ) -> List[Any]:
         telemetry = get_telemetry()
         chunks = _chunked(tasks, default_chunksize(len(tasks), self.workers))
@@ -339,7 +339,7 @@ class ProcessExecutor:
         context: Any,
         tasks: Sequence[Any],
         on_result: ResultHook = None,
-        policy: Optional[RunPolicy] = None,
+        policy: Optional[ExecutionPolicy] = None,
     ) -> List[Any]:
         if not tasks:
             return []
@@ -520,12 +520,11 @@ class LeaseExecutor:
         context: Any,
         tasks: Sequence[Any],
         on_result: ResultHook = None,
-        policy: Optional[RunPolicy] = None,
+        policy: Optional[ExecutionPolicy] = None,
     ) -> List[Any]:
         from repro.service.registry import CampaignRegistry
         from repro.service.worker import ServiceWorker
         from repro.store.backends import DONE, QUARANTINED
-        from repro.store.policy import service_setting
 
         if not tasks:
             return []
@@ -536,7 +535,7 @@ class LeaseExecutor:
             )
         telemetry = get_telemetry()
         store = policy.store
-        service = self.service if self.service is not None else service_setting(policy)
+        service = self.service if self.service is not None else policy.service
         # always the serial partition — see class docstring
         chunks = _chunked(tasks, default_chunksize(len(tasks), 1))
         fingerprints, _ = _fingerprints(policy, context, chunks)
@@ -660,7 +659,7 @@ class LeaseExecutor:
         context: Any,
         chunks: Sequence[Sequence[Any]],
         fingerprints: Sequence[str],
-        policy: RunPolicy,
+        policy: ExecutionPolicy,
         service: "ServicePolicy",
         stale_before: Optional[float],
         deliver_ready,

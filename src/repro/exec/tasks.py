@@ -74,8 +74,9 @@ class CampaignContext:
     ecc: str                       # EccMode.value
     root_seed: int
     workload: WorkloadHandle
-    #: sandbox crash policy; rides in the context (not RunPolicy) because
-    #: the policy object never travels to worker processes
+    #: sandbox crash policy; rides in the context because the
+    #: ExecutionPolicy (and its store handle) never travels to worker
+    #: processes
     on_crash: str = "due"
     #: checkpoint/replay knobs (see repro.sim.replay).  Part of the cache
     #: key — a cached runner built replay-off must not serve a replay-on
@@ -127,10 +128,10 @@ class BeamEvalContext:
     catalog_tag: str               # distinguishes non-default catalogs
     workload: WorkloadHandle
     on_crash: str = "due"
-    #: checkpoint/replay + batching knobs (cache key only; see CampaignContext)
+    #: checkpoint/replay knobs (cache key only; see CampaignContext).  Beam
+    #: strikes are evaluated one at a time, so batch_eval has no slot here
     replay: bool = True
     snapshots_per_run: int = 16
-    batch_eval: bool = True
 
     def cache_key(self) -> tuple:
         return (
@@ -143,7 +144,6 @@ class BeamEvalContext:
             self.on_crash,
             self.replay,
             self.snapshots_per_run,
-            self.batch_eval,
         )
 
 

@@ -21,6 +21,7 @@ import time
 from dataclasses import replace
 from typing import Optional
 
+from repro.cli import cli_policy
 from repro.common.atomicio import atomic_write_text
 from repro.common.tables import render_csv
 from repro.exec.progress import ProgressMeter
@@ -179,17 +180,9 @@ def main(argv=None) -> int:
         config = replace(config, seed=args.seed)
     if args.workers is not None:
         config = replace(config, workers=args.workers)
-    if args.store is not None:
-        config = replace(
-            config,
-            store=args.store,
-            resume=True if args.resume else None,
-            refresh=args.no_cache,
-        )
-    if args.retries is not None:
-        config = replace(config, retries=args.retries)
-    if args.on_crash is not None:
-        config = replace(config, on_crash=args.on_crash)
+    policy = cli_policy(args)
+    if policy is not None:
+        config = replace(config, policy=policy)
 
     telemetrize = args.telemetry or args.trace_out is not None
     meter = ProgressMeter(label="fault evals", interval=2.0) if args.progress else None

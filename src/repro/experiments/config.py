@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.common.errors import ConfigurationError
-from repro.store.policy import RunPolicy, warn_legacy_kwargs
+from repro.store.policy import ExecutionPolicy
 
 
 @dataclass(frozen=True)
@@ -36,39 +36,11 @@ class ExperimentConfig:
     workers: int = 1
     #: one :class:`~repro.store.policy.ExecutionPolicy` shaping every
     #: campaign, beam run and strike sweep the session computes —
-    #: durability, failure handling and checkpoint/replay.  Mutually
-    #: exclusive with the legacy per-knob fields below.
-    policy: Optional[RunPolicy] = None
-    #: deprecated — use ``policy=ExecutionPolicy(store=open_store(path))``.
-    #: Durable campaign store path (``--store``); None disables checkpointing.
-    #: Suffix picks the backend (.jsonl → JSONL, else SQLite) — docs/STORAGE.md
-    store: Optional[str] = None
-    #: replay completed chunks from the store (default when a store is set)
-    resume: Optional[bool] = None
-    #: recompute everything, overwriting cached chunks (``--no-cache``)
-    refresh: bool = False
-    #: per-chunk retries before quarantine; None = store default
-    retries: Optional[int] = None
-    #: what the injection sandbox does with an unexpected crash in an
-    #: injected run: "due" (classify, the default), "quarantine" (hand the
-    #: chunk to the store's quarantine), "raise" (propagate — debugging).
-    #: None defers to the RunPolicy / built-in default — docs/ROBUSTNESS.md
-    on_crash: Optional[str] = None
+    #: durability, failure handling and checkpoint/replay.  None: no store
+    #: and no retries (docs/API.md)
+    policy: Optional[ExecutionPolicy] = None
 
     def __post_init__(self) -> None:
-        if self.policy is not None and (
-            self.store is not None or self.resume is not None or self.refresh
-            or self.retries is not None or self.on_crash is not None
-        ):
-            raise ConfigurationError(
-                "pass either policy= or the store=/resume=/refresh=/retries=/"
-                "on_crash= fields, not both"
-            )
-        warn_legacy_kwargs(
-            "ExperimentConfig",
-            store=self.store, resume=self.resume, refresh=self.refresh,
-            retries=self.retries, on_crash=self.on_crash,
-        )
         if self.injections <= 0 or self.beam_fault_evals <= 0:
             raise ConfigurationError("campaign sizes must be positive")
         if self.beam_hours <= 0:
@@ -77,20 +49,6 @@ class ExperimentConfig:
             raise ConfigurationError(f"unknown beam mode {self.beam_mode!r}")
         if self.workers < 0:
             raise ConfigurationError("workers must be >= 0 (0 = one per CPU)")
-        if self.resume and self.refresh:
-            raise ConfigurationError(
-                "resume and refresh conflict: refresh (--no-cache) bypasses "
-                "the cache that resume replays — drop one of the two"
-            )
-        if (self.resume or self.refresh) and self.store is None:
-            raise ConfigurationError("resume/refresh require a store path")
-        if self.retries is not None and self.retries < 0:
-            raise ConfigurationError("retries must be >= 0")
-        if self.on_crash is not None and self.on_crash not in ("due", "quarantine", "raise"):
-            raise ConfigurationError(
-                f"unknown on_crash policy {self.on_crash!r}; "
-                "choose from ('due', 'quarantine', 'raise')"
-            )
 
 
 PRESETS = {

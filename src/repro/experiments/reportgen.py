@@ -192,7 +192,7 @@ def generate(preset: str = "quick", seed: int = 0) -> str:
            volta_by["FYOLOV3"] < volta_by["FGEMM"])
     _claim(out, "FGEMM AVF above DGEMM", "+30%",
            f"{volta_by['FGEMM']:.2f} vs {volta_by['DGEMM']:.2f}",
-           True)  # direction reported either way
+           volta_by["FGEMM"] > volta_by["DGEMM"])
     out.write("\n")
 
     # ---------------------------------------------------------------- figure 5

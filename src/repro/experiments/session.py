@@ -27,7 +27,7 @@ from repro.predict.model import (
 )
 from repro.profiling.metrics import KernelMetrics
 from repro.profiling.profiler import Profiler
-from repro.store.policy import RunPolicy, as_execution_policy, resolve_policy
+from repro.store.policy import ExecutionPolicy
 from repro.workloads.base import Workload
 from repro.workloads.registry import get_workload
 
@@ -54,20 +54,8 @@ class ExperimentSession:
         self.executor = get_executor(self.config.workers, executor)
         self.on_result = on_result
         #: one shared ExecutionPolicy (and so one store connection) for
-        #: every campaign, beam run and strike sweep the session computes;
-        #: config.policy wins, the legacy per-knob fields resolve into it
-        self.policy: Optional[RunPolicy] = self.config.policy
-        if self.policy is None:
-            self.policy = resolve_policy(
-                store=self.config.store,
-                resume=self.config.resume,
-                refresh=self.config.refresh,
-                retries=self.config.retries,
-            )
-        if self.config.on_crash is not None:
-            # fold the crash policy in, so every engine below is driven by
-            # policy= alone (no legacy kwargs, no deprecation warnings)
-            self.policy = as_execution_policy(self.policy, on_crash=self.config.on_crash)
+        #: every campaign, beam run and strike sweep the session computes
+        self.policy: Optional[ExecutionPolicy] = self.config.policy
         self.devices: Dict[str, DeviceSpec] = {"kepler": KEPLER_K40C, "volta": VOLTA_V100}
         self._workloads: Dict[Tuple[str, str], Workload] = {}
         self._profilers: Dict[str, Profiler] = {}

@@ -31,7 +31,7 @@ import numpy as np
 from repro.arch.devices import DeviceSpec
 from repro.arch.ecc import EccMode, EccOutcome, SecdedModel
 from repro.common.errors import InjectionError
-from repro.common.rng import RngFactory, resolve_rngs
+from repro.common.rng import RngFactory
 from repro.exec.engine import Executor, get_executor
 from repro.exec.tasks import CampaignContext, InjectionTask, WorkloadHandle
 from repro.exec.worker import _cached_state, run_injection_chunk
@@ -47,16 +47,7 @@ from repro.sim.replay import ReplaySession
 from repro.store.backends import DONE, ChunkRecord
 from repro.store.codec import decode_results, encode_results
 from repro.store.fingerprint import chunk_fingerprints
-from repro.store.policy import (
-    RunPolicy,
-    batch_eval_setting,
-    replay_setting,
-    resolve_on_crash,
-    resolve_policy,
-    snapshots_setting,
-    warn_legacy_kwargs,
-)
-from repro.store.store import StoreLike
+from repro.store.policy import ExecutionPolicy
 from repro.telemetry import get_telemetry
 from repro.workloads.base import CompareResult, Workload
 
@@ -112,40 +103,27 @@ class CampaignRunner:
         self,
         device: DeviceSpec,
         framework: InjectorFramework,
-        rngs: Optional[RngFactory] = None,
         ecc: EccMode = EccMode.ON,
         *,
-        seed: Optional[int] = None,
+        seed: int = 0,
         workers: int = 1,
         executor: Optional[Executor] = None,
-        store: Optional[StoreLike] = None,
-        resume: Optional[bool] = None,
-        refresh: bool = False,
-        retries: Optional[int] = None,
-        backoff: Optional[float] = None,
-        policy: Optional[RunPolicy] = None,
-        on_crash: Optional[str] = None,
+        policy: Optional[ExecutionPolicy] = None,
         sandbox_limits: Optional[SandboxLimits] = None,
     ) -> None:
-        warn_legacy_kwargs(
-            "CampaignRunner",
-            store=store, resume=resume, refresh=refresh,
-            retries=retries, backoff=backoff, on_crash=on_crash,
-        )
         self.device = device
         self.framework = framework
-        self.rngs = resolve_rngs(rngs, seed, "CampaignRunner")
+        self.rngs = RngFactory(seed)
         self.ecc = ecc
         self.executor = get_executor(workers, executor)
-        self.policy = resolve_policy(
-            store=store, policy=policy, resume=resume, refresh=refresh,
-            retries=retries, backoff=backoff,
-        )
-        self.on_crash = resolve_on_crash(on_crash, self.policy)
+        #: None: no store and no retries; the execution knobs take their defaults
+        self.policy = policy
+        knobs = policy or ExecutionPolicy()
+        self.on_crash = knobs.on_crash
         self.sandbox = InjectionSandbox(self.on_crash, limits=sandbox_limits)
-        self.replay_enabled = replay_setting(self.policy)
-        self.snapshots_per_run = snapshots_setting(self.policy)
-        self.batch_eval = batch_eval_setting(self.policy)
+        self.replay_enabled = knobs.replay
+        self.snapshots_per_run = knobs.snapshots_per_run
+        self.batch_eval = knobs.batch_eval
         self._golden: Dict[str, KernelRun] = {}
         self._sessions: Dict[Tuple[str, bool], ReplaySession] = {}
         self._batch_evaluators: Dict[Tuple[str, bool], BatchEvaluator] = {}
@@ -669,18 +647,11 @@ def run_campaign(
     workers: int = 1,
     executor: Optional[Executor] = None,
     on_result: Optional[Callable[[InjectionRecord], None]] = None,
-    store: Optional[StoreLike] = None,
-    resume: Optional[bool] = None,
-    refresh: bool = False,
-    retries: Optional[int] = None,
-    backoff: Optional[float] = None,
-    policy: Optional[RunPolicy] = None,
-    on_crash: Optional[str] = None,
+    policy: Optional[ExecutionPolicy] = None,
 ) -> CampaignResult:
     """One-shot campaign convenience wrapper."""
     runner = CampaignRunner(
-        device, framework, seed=seed, ecc=ecc, workers=workers, executor=executor,
-        store=store, resume=resume, refresh=refresh, retries=retries,
-        backoff=backoff, policy=policy, on_crash=on_crash,
+        device, framework, ecc, seed=seed, workers=workers, executor=executor,
+        policy=policy,
     )
     return runner.run(workload, injections, on_result=on_result)

@@ -18,14 +18,14 @@ AVFs drift from the SASS-level ones on the same codes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.arch.devices import DeviceSpec
 from repro.arch.ecc import EccMode
 from repro.common.errors import InjectionError
-from repro.common.rng import RngFactory, resolve_rngs
+from repro.common.rng import RngFactory
 from repro.faultsim.outcomes import CampaignResult, InjectionRecord, Outcome
 from repro.faultsim.sandbox import WATCHDOG_FACTOR, InjectionSandbox
 from repro.sim.exceptions import ContainedCrashError, GpuDeviceException
@@ -47,22 +47,17 @@ class CarolFi:
     def __init__(
         self,
         device: DeviceSpec,
-        rngs: Optional[RngFactory] = None,
         *,
-        seed: Optional[int] = None,
+        seed: int = 0,
         on_crash: str = "due",
-        replay: Optional[bool] = None,
+        replay: bool = True,
         snapshots_per_run: int = 16,
-        batch_eval: Optional[bool] = None,
     ) -> None:
         self.device = device
-        self.rngs = resolve_rngs(rngs, seed, "CarolFi")
+        self.rngs = RngFactory(seed)
         self.sandbox = InjectionSandbox(on_crash)
-        self.replay_enabled = True if replay is None else bool(replay)
+        self.replay_enabled = replay
         self.snapshots_per_run = snapshots_per_run
-        #: accepted for policy-threading symmetry: variable-level strikes
-        #: perturb whole buffers, outside the batched evaluator's population
-        self.batch_eval = True if batch_eval is None else bool(batch_eval)
         self._golden: Dict[str, KernelRun] = {}
         self._sessions: Dict[Tuple[str, bool], ReplaySession] = {}
 

@@ -40,7 +40,7 @@ from repro.arch.ecc import EccMode
 from repro.arch.uncore import UncoreFitTable, uncore_table
 from repro.arch.units import UnitKind
 from repro.common.errors import InjectionError
-from repro.common.rng import RngFactory, resolve_rngs
+from repro.common.rng import RngFactory
 from repro.faultsim.outcomes import CampaignResult, InjectionRecord, Outcome
 from repro.faultsim.sandbox import WATCHDOG_FACTOR, InjectionSandbox
 from repro.sim.exceptions import (
@@ -101,26 +101,21 @@ class UncoreInjector:
     def __init__(
         self,
         device: DeviceSpec,
-        rngs: Optional[RngFactory] = None,
         *,
-        seed: Optional[int] = None,
+        seed: int = 0,
         ecc: EccMode = EccMode.ON,
         on_crash: str = "due",
         table: Optional[UncoreFitTable] = None,
-        replay: Optional[bool] = None,
+        replay: bool = True,
         snapshots_per_run: int = 16,
-        batch_eval: Optional[bool] = None,
     ) -> None:
         self.device = device
-        self.rngs = resolve_rngs(rngs, seed, "UncoreInjector")
+        self.rngs = RngFactory(seed)
         self.ecc = ecc
         self.table = table if table is not None else uncore_table(device.architecture)
         self.sandbox = InjectionSandbox(on_crash)
-        self.replay_enabled = True if replay is None else bool(replay)
+        self.replay_enabled = replay
         self.snapshots_per_run = snapshots_per_run
-        #: accepted for policy-threading symmetry: uncore faults are DUE /
-        #: mechanistic-replay events, outside the batched evaluator's scope
-        self.batch_eval = True if batch_eval is None else bool(batch_eval)
         self._golden: Dict[str, KernelRun] = {}
         self._sessions: Dict[Tuple[str, bool], ReplaySession] = {}
 

@@ -45,14 +45,7 @@ from repro.faultsim.outcomes import CampaignResult, Outcome
 from repro.profiling.metrics import KernelMetrics
 from repro.profiling.profiler import Profiler
 from repro.sim.launch import run_kernel
-from repro.store.policy import (
-    RunPolicy,
-    as_execution_policy,
-    resolve_on_crash,
-    resolve_policy,
-    warn_legacy_kwargs,
-)
-from repro.store.store import StoreLike
+from repro.store.policy import ExecutionPolicy
 from repro.telemetry import get_logger, get_telemetry
 from repro.workloads.base import Workload
 
@@ -163,13 +156,7 @@ def measure_memory_avf(
     workers: int = 1,
     executor: Optional[Executor] = None,
     on_result: Optional[Callable] = None,
-    store: Optional[StoreLike] = None,
-    resume: Optional[bool] = None,
-    refresh: bool = False,
-    retries: Optional[int] = None,
-    backoff: Optional[float] = None,
-    policy: Optional[RunPolicy] = None,
-    on_crash: Optional[str] = None,
+    policy: Optional[ExecutionPolicy] = None,
 ) -> Tuple[float, float]:
     """AVF of a memory bit for Eq. 3: fraction of ECC-OFF storage strikes
     that corrupt the output (SDC) or crash the code (DUE).
@@ -180,15 +167,6 @@ def measure_memory_avf(
     """
     if strikes <= 0:
         raise ConfigurationError("need at least one strike")
-    warn_legacy_kwargs(
-        "measure_memory_avf",
-        store=store, resume=resume, refresh=refresh, retries=retries,
-        backoff=backoff, on_crash=on_crash,
-    )
-    run_policy = resolve_policy(
-        store=store, policy=policy, resume=resume, refresh=refresh,
-        retries=retries, backoff=backoff,
-    )
     telemetry = get_telemetry()
     with telemetry.span(
         "memory_avf", workload=workload.name, device=device.name, strikes=strikes
@@ -209,13 +187,13 @@ def measure_memory_avf(
         ]
         context = MemoryAvfContext(
             device=device, backend=backend, workload=WorkloadHandle.wrap(workload),
-            on_crash=resolve_on_crash(on_crash, run_policy),
+            on_crash=(policy or ExecutionPolicy()).on_crash,
         )
         _cached_state(context.cache_key(), lambda: (workload, golden))
         pool = get_executor(workers, executor)
-        if run_policy is not None:
+        if policy is not None:
             outcomes = pool.run_chunks(
-                run_strike_chunk, context, tasks, on_result=on_result, policy=run_policy
+                run_strike_chunk, context, tasks, on_result=on_result, policy=policy
             )
         else:
             outcomes = pool.run_chunks(run_strike_chunk, context, tasks, on_result=on_result)
@@ -237,34 +215,15 @@ def measure_microbench_fits(
     workers: int = 1,
     executor: Optional[Executor] = None,
     on_result: Optional[Callable] = None,
-    store: Optional[StoreLike] = None,
-    resume: Optional[bool] = None,
-    refresh: bool = False,
-    retries: Optional[int] = None,
-    backoff: Optional[float] = None,
-    policy: Optional[RunPolicy] = None,
-    on_crash: Optional[str] = None,
+    policy: Optional[ExecutionPolicy] = None,
 ) -> MicrobenchFits:
     """Run the full micro-benchmark suite under the beam and build the
     per-unit FIT table the prediction consumes."""
     from repro.microbench.registry import MICROBENCH_BUILDERS, get_microbench
 
     arch = device.architecture
-    warn_legacy_kwargs(
-        "measure_microbench_fits",
-        store=store, resume=resume, refresh=refresh, retries=retries,
-        backoff=backoff, on_crash=on_crash,
-    )
-    # pre-resolve the legacy kwargs into one policy, so BeamExperiment is
-    # driven by policy= alone (its own shim would mis-attribute the warning)
-    run_policy = resolve_policy(
-        store=store, policy=policy, resume=resume, refresh=refresh,
-        retries=retries, backoff=backoff,
-    )
-    if on_crash is not None or run_policy is not None:
-        run_policy = as_execution_policy(run_policy, on_crash=on_crash)
     exp = BeamExperiment(
-        device, seed=seed, workers=workers, executor=executor, policy=run_policy,
+        device, seed=seed, workers=workers, executor=executor, policy=policy,
     )
     prof = Profiler(device)
     units: Dict[str, UnitFit] = {}

@@ -34,7 +34,12 @@ from repro.service.records import (
     TombstoneRecord,
 )
 from repro.service.registry import CampaignRegistry
-from repro.store.policy import ExecutionPolicy, ServicePolicy
+from repro.store.policy import (
+    DEFAULT_BACKOFF,
+    DEFAULT_RETRIES,
+    ExecutionPolicy,
+    ServicePolicy,
+)
 from repro.store.store import CampaignStore, StoreLike, open_store
 from repro.telemetry import get_telemetry
 
@@ -53,7 +58,7 @@ class CampaignCoordinator:
     ) -> None:
         self.store = store
         self.workers = workers
-        self.service = service
+        self.service = service if service is not None else ServicePolicy()
         self.registry = CampaignRegistry(store, clock=clock)
         self.chaos_kill_after = chaos_kill_after
         self.chaos_worker = chaos_worker
@@ -84,9 +89,9 @@ class CampaignCoordinator:
             # DAVOS-style clean mode: recompute everything (the lease
             # executor turns refresh into a staleness watermark)
             refresh=(entry.mode == MODE_CLEAN),
-            retries=int(spec["retries"]) if "retries" in spec else ExecutionPolicy().retries,
-            backoff=float(spec["backoff"]) if "backoff" in spec else ExecutionPolicy().backoff,
-            on_crash=spec.get("on_crash"),
+            retries=int(spec.get("retries", DEFAULT_RETRIES)),
+            backoff=float(spec.get("backoff", DEFAULT_BACKOFF)),
+            on_crash=spec.get("on_crash", "due"),
             service=self.service,
         )
         executor = LeaseExecutor(

@@ -52,7 +52,7 @@ from repro.service.registry import CampaignRegistry
 from repro.store.backends import DONE, QUARANTINED
 from repro.store.codec import encode_results
 from repro.store.fingerprint import context_kind, context_payload
-from repro.store.policy import RunPolicy, ServicePolicy
+from repro.store.policy import ExecutionPolicy, ServicePolicy
 from repro.store.store import CampaignStore, open_store
 from repro.telemetry import get_telemetry
 from repro.telemetry.core import Telemetry, set_telemetry
@@ -73,7 +73,7 @@ class ServiceWorker:
     def __init__(
         self,
         store: CampaignStore,
-        policy: RunPolicy,
+        policy: ExecutionPolicy,
         service: ServicePolicy,
         worker_id: Optional[str] = None,
         campaign: Optional[str] = None,
@@ -296,11 +296,11 @@ def service_child_main(
     set_telemetry(Telemetry())
     store = open_store(store_path, backend=store_backend)
     try:
-        policy = RunPolicy(
+        policy = ExecutionPolicy(
             store=store,
-            retries=int(policy_spec.get("retries", 0)),
-            backoff=float(policy_spec.get("backoff", 0.0)),
-            on_crash=policy_spec.get("on_crash"),
+            retries=int(policy_spec["retries"]),
+            backoff=float(policy_spec["backoff"]),
+            on_crash=policy_spec["on_crash"],
         )
         worker = ServiceWorker(
             store,

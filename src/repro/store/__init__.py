@@ -13,10 +13,11 @@ reproduction the same property:
 * completed chunks (results + their telemetry snapshot) are committed
   atomically to a pluggable backend — SQLite in WAL mode (default) or an
   append-only JSONL log (:mod:`repro.store.backends`);
-* on restart, :class:`~repro.store.policy.RunPolicy` makes ``run_chunks``
-  replay completed chunks and execute only the missing ones — the merged
-  records and domain telemetry are bit-identical to an uninterrupted run
-  for any ``workers=`` setting (``tests/store/test_resume.py``);
+* on restart, an :class:`~repro.store.policy.ExecutionPolicy` with a
+  store makes ``run_chunks`` replay completed chunks and execute only the
+  missing ones — the merged records and domain telemetry are
+  bit-identical to an uninterrupted run for any ``workers=`` setting
+  (``tests/store/test_resume.py``);
 * failing chunks are retried with exponential backoff and, when they keep
   failing, quarantined in the store without corrupting committed work.
 
@@ -39,15 +40,7 @@ from repro.store.policy import (
     DEFAULT_BACKOFF,
     DEFAULT_RETRIES,
     ExecutionPolicy,
-    RunPolicy,
     ServicePolicy,
-    as_execution_policy,
-    replay_setting,
-    resolve_policy,
-    service_setting,
-    snapshots_setting,
-    warn_deprecated_kwarg,
-    warn_legacy_kwargs,
 )
 from repro.store.store import CampaignStore, open_store
 
@@ -55,15 +48,7 @@ __all__ = [
     "CampaignStore",
     "open_store",
     "ExecutionPolicy",
-    "RunPolicy",
     "ServicePolicy",
-    "as_execution_policy",
-    "replay_setting",
-    "service_setting",
-    "snapshots_setting",
-    "warn_deprecated_kwarg",
-    "warn_legacy_kwargs",
-    "resolve_policy",
     "DEFAULT_RETRIES",
     "DEFAULT_BACKOFF",
     "ChunkRecord",

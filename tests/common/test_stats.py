@@ -1,10 +1,15 @@
 """Statistics: Poisson/Wilson intervals, ratio conventions, estimates."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+import repro.common.stats as repro_stats
 from repro.common.stats import (
     Estimate,
     poisson_ci,
@@ -40,6 +45,19 @@ class TestPoissonCi:
     def test_bad_confidence_rejected(self):
         with pytest.raises(ValueError):
             poisson_ci(5, confidence=1.5)
+
+    @pytest.mark.parametrize(
+        "count, expected",
+        [
+            (0, (0.0, 3.6888794541139354)),
+            (1, (0.025317807984289897, 5.571643390938898)),
+            (7, (2.814363051519867, 14.422675361702376)),
+            (2999, (2892.6165149330627, 3108.2956394906832)),
+        ],
+    )
+    def test_pinned_exact_intervals(self, count, expected):
+        # bit-exact: beam FIT intervals feed the committed result digests
+        assert poisson_ci(count, 0.95) == expected
 
     @given(st.integers(min_value=1, max_value=10000))
     def test_interval_width_shrinks_relatively(self, count):
@@ -137,3 +155,16 @@ class TestEstimates:
     def test_proportion_estimate(self):
         est = proportion_estimate(30, 100)
         assert est.lower <= 0.3 <= est.upper
+
+
+def test_importing_the_package_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about half a second to import; only the intervals'
+    # scipy.special functions belong on the package's import path
+    code = "import sys, repro; print('scipy.stats' in sys.modules)"
+    env = dict(os.environ)
+    src = str(pathlib.Path(repro_stats.__file__).resolve().parents[2])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "False"

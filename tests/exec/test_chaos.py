@@ -28,6 +28,7 @@ from repro.arch.dtypes import DType
 from repro.common.errors import ChunkQuarantinedError, InjectionCrashError
 from repro.faultsim.outcomes import Outcome
 from repro.sim.launch import LaunchConfig
+from repro.store import ExecutionPolicy, open_store
 from repro.telemetry import telemetry_session
 from repro.workloads.base import Workload, WorkloadSpec
 
@@ -128,7 +129,12 @@ class KamikazeWorkload(Workload):
         return {"out": ctx.read_buffer(out)}
 
 
-def _run(workload, *, workers=1, store=None, on_crash="due", retries=None):
+def _run(workload, *, workers=1, store=None, on_crash="due", retries=0):
+    policy = ExecutionPolicy(
+        store=open_store(store) if store is not None else None,
+        on_crash=on_crash,
+        retries=retries,
+    )
     with telemetry_session() as telemetry:
         result = api.run_campaign(
             workload,
@@ -136,9 +142,7 @@ def _run(workload, *, workers=1, store=None, on_crash="due", retries=None):
             injections=INJECTIONS,
             seed=1,
             workers=workers,
-            store=store,
-            on_crash=on_crash,
-            retries=retries,
+            policy=policy,
         )
         counters = dict(telemetry.registry.counters)
     return result, counters
@@ -195,9 +199,9 @@ class TestQuarantine:
                     injections=INJECTIONS,
                     seed=1,
                     workers=workers,
-                    store=store_path,
-                    on_crash="quarantine",
-                    retries=3,
+                    policy=ExecutionPolicy(
+                        store=open_store(store_path), on_crash="quarantine", retries=3
+                    ),
                 )
             counters = dict(telemetry.registry.counters)
         assert counters.get("exec.chunk_retries", 0) == 0

@@ -14,7 +14,7 @@ import os
 import signal
 
 from repro.exec.engine import ProcessExecutor
-from repro.store.policy import RunPolicy
+from repro.store.policy import ExecutionPolicy
 from repro.telemetry import get_telemetry, telemetry_session
 from repro.telemetry.events import NULL_SINK
 
@@ -83,7 +83,7 @@ def test_rebuilt_pool_reinstalls_worker_isolation(tmp_path):
             # in-flight chunks resubmitted against the retry budget
             results = executor.run_chunks(
                 suicide_chunk, (marker, os.getpid()), TASKS,
-                policy=RunPolicy(retries=2),
+                policy=ExecutionPolicy(retries=2),
             )
             assert os.path.exists(marker), "the kamikaze chunk never fired"
             assert sorted(results) == TASKS

@@ -1,144 +1,97 @@
-"""ExecutionPolicy: the one run-shaping object, plus the kwarg shim.
+"""ExecutionPolicy: the one run-shaping object, with one spelling per knob.
 
-The former ``store=/resume=/refresh=/retries=/backoff=/on_crash=`` kwarg
-sprawl on ``run_campaign``/``run_beam``/``CampaignRunner``/
-``BeamExperiment``/``ExperimentConfig`` collapsed into one
-``policy=ExecutionPolicy(...)``.  These tests pin the migration contract:
+``run_campaign``/``run_beam``/``predict``, the engines, the memory-AVF and
+micro-benchmark sweeps and ``ExperimentConfig`` take exactly one
+``policy=ExecutionPolicy(...)``.  These tests pin that contract:
 
-* old kwargs keep working — a one-shot ``DeprecationWarning`` per
-  (surface, kwarg), never an error, results unchanged;
-* ``policy=`` and the old kwargs together are a configuration error;
-* the new execution-strategy fields validate (``snapshots_per_run >= 1``)
-  and round-trip through :func:`as_execution_policy`;
+* the fields have plain defaults and validate in ``__post_init__``;
+* no surface still accepts a removed per-knob kwarg or ``rngs=``;
 * replay sessions persist into the content-addressed store; a later
   serial run against the same store loads one only when a chunk misses,
   a parallel one before its pool forks, and either imports it instead of
   re-capturing.
 """
 
+import dataclasses
+import inspect
 import multiprocessing
 import os
-import warnings
 
 import pytest
 
+import repro.api as api
 import repro.exec.worker as worker_mod
-import repro.store.policy as policy_mod
-from repro.api import ExecutionPolicy, get_workload, predict, run_campaign
+from repro.api import ExecutionPolicy, get_workload, predict
 from repro.arch.devices import KEPLER_K40C
+from repro.beam.engine import BeamEngine
+from repro.beam.experiment import BeamExperiment
 from repro.common.errors import ConfigurationError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.session import ExperimentSession
+from repro.faultsim import campaign as campaign_mod
 from repro.faultsim.campaign import CampaignRunner
+from repro.faultsim.carolfi import CarolFi
 from repro.faultsim.frameworks import NvBitFi
+from repro.faultsim.uncore import UncoreInjector
+from repro.predict.model import measure_memory_avf, measure_microbench_fits
 from repro.sim.replay import ReplaySession
-from repro.store import RunPolicy, open_store
-from repro.store.policy import as_execution_policy, replay_setting, snapshots_setting
+from repro.store import ServicePolicy, open_store
 
-
-@pytest.fixture(autouse=True)
-def _reset_warned():
-    """Make the one-shot warning observable in every test of this module."""
-    saved = set(policy_mod._WARNED)
-    policy_mod._WARNED.clear()
-    yield
-    policy_mod._WARNED.clear()
-    policy_mod._WARNED.update(saved)
+#: the per-knob kwargs that ExecutionPolicy replaced
+POLICY_KWARGS = {"store", "resume", "refresh", "retries", "backoff", "on_crash"}
 
 
 class TestExecutionPolicy:
-    def test_extends_run_policy(self):
-        policy = ExecutionPolicy(retries=1, replay=False, snapshots_per_run=4)
-        assert isinstance(policy, RunPolicy)
-        assert policy.retries == 1
-        assert not replay_setting(policy)
-        assert snapshots_setting(policy) == 4
-
     def test_replay_defaults_to_auto(self):
-        assert ExecutionPolicy().replay is None
-        assert replay_setting(ExecutionPolicy())
-        assert replay_setting(None)  # no policy at all: replay is still on
-        assert replay_setting(RunPolicy())  # plain RunPolicy: auto too
-        assert snapshots_setting(None) == 16
+        # "auto": replay on, with the per-run vanilla fallback built in
+        policy = ExecutionPolicy()
+        assert policy.replay is True
+        assert policy.batch_eval is True
+        assert policy.snapshots_per_run == 16
+        assert policy.on_crash == "due"
+        assert policy.service == ServicePolicy()
 
     def test_snapshots_per_run_validates(self):
         with pytest.raises(ConfigurationError):
             ExecutionPolicy(snapshots_per_run=0)
 
-    def test_as_execution_policy_preserves_and_overrides(self):
-        base = RunPolicy(retries=7, on_crash="raise")
-        folded = as_execution_policy(base, replay=False, snapshots_per_run=3)
-        assert folded.retries == 7
-        assert folded.on_crash == "raise"
-        assert folded.replay is False
-        assert folded.snapshots_per_run == 3
-        override = as_execution_policy(folded, on_crash="due")
-        assert override.on_crash == "due"
-        assert override.replay is False
 
+class TestOneSpelling:
+    @pytest.mark.parametrize(
+        "surface, removed",
+        [
+            pytest.param(api.run_campaign, POLICY_KWARGS, id="api.run_campaign"),
+            pytest.param(api.run_beam, POLICY_KWARGS, id="api.run_beam"),
+            pytest.param(api.predict, POLICY_KWARGS, id="api.predict"),
+            pytest.param(campaign_mod.run_campaign, POLICY_KWARGS, id="faultsim.run_campaign"),
+            pytest.param(CampaignRunner, POLICY_KWARGS | {"rngs"}, id="CampaignRunner"),
+            pytest.param(BeamExperiment, POLICY_KWARGS | {"rngs"}, id="BeamExperiment"),
+            pytest.param(measure_memory_avf, POLICY_KWARGS, id="measure_memory_avf"),
+            pytest.param(measure_microbench_fits, POLICY_KWARGS, id="measure_microbench_fits"),
+            pytest.param(CarolFi, {"rngs", "batch_eval"}, id="CarolFi"),
+            pytest.param(UncoreInjector, {"rngs", "batch_eval"}, id="UncoreInjector"),
+            pytest.param(BeamEngine, {"batch_eval"}, id="BeamEngine"),
+        ],
+    )
+    def test_removed_names_are_not_accepted(self, surface, removed):
+        assert not removed & set(inspect.signature(surface).parameters)
 
-class TestKwargShim:
-    def test_legacy_kwarg_warns_once_and_still_works(self, tmp_path):
-        workload = get_workload("kepler", "FMXM", seed=0)
-        store_path = str(tmp_path / "shim.sqlite")
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = run_campaign(
-                workload, device="k40c", injections=6, seed=0, store=store_path
-            )
-            second = run_campaign(
-                workload, device="k40c", injections=6, seed=0, store=store_path
-            )
-        shim = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(shim) == 1  # once per (surface, kwarg), not per call
-        assert "policy=ExecutionPolicy(store=...)" in str(shim[0].message)
-        assert [r.outcome for r in first.records] == [r.outcome for r in second.records]
+    def test_config_and_policy_carry_no_legacy_fields(self):
+        config_fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert not POLICY_KWARGS & config_fields
+        assert "resume" not in {f.name for f in dataclasses.fields(ExecutionPolicy)}
 
-    def test_each_surface_warns_independently(self, tmp_path):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            CampaignRunner(
-                KEPLER_K40C, NvBitFi(), retries=1
-            )
-            ExperimentConfig(retries=1)
-        owners = sorted(
-            str(w.message).split("(")[0]
-            for w in caught
-            if issubclass(w.category, DeprecationWarning)
-        )
-        assert owners == ["CampaignRunner", "ExperimentConfig"]
+    def test_campaign_runner_takes_ecc_third(self):
+        from repro.arch.ecc import EccMode
 
-    def test_policy_plus_legacy_kwargs_raise(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            CampaignRunner(
-                KEPLER_K40C,
-                NvBitFi(),
-                policy=ExecutionPolicy(),
-                store=str(tmp_path / "x.sqlite"),
-            )
-
-    def test_experiment_config_policy_is_exclusive(self):
-        with pytest.raises(ConfigurationError):
-            ExperimentConfig(policy=ExecutionPolicy(), retries=2)
+        runner = CampaignRunner(KEPLER_K40C, NvBitFi(), EccMode.OFF, seed=2)
+        assert runner.ecc is EccMode.OFF
+        assert runner.rngs.root_seed == 2
 
     def test_experiment_config_accepts_policy(self):
         config = ExperimentConfig(policy=ExecutionPolicy(on_crash="quarantine"))
         session = ExperimentSession(config)
         assert session.policy.on_crash == "quarantine"
-
-    def test_session_folds_on_crash_into_policy(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            session = ExperimentSession(ExperimentConfig(on_crash="raise"))
-        assert session.policy.on_crash == "raise"
-        # the fold happens before any engine is built: only the config's own
-        # shim warning fired, no engine-level ones
-        owners = {
-            str(w.message).split("(")[0]
-            for w in caught
-            if issubclass(w.category, DeprecationWarning)
-        }
-        assert owners == {"ExperimentConfig"}
 
     def test_predict_rejects_policy_with_session(self):
         with pytest.raises(ConfigurationError):

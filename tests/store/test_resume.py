@@ -7,6 +7,7 @@ import pytest
 import repro.api as api
 import repro.faultsim.campaign as campaign_mod
 from repro.arch.ecc import EccMode
+from repro.store import ExecutionPolicy, open_store
 from repro.telemetry import telemetry_session
 
 INJECTIONS = 24
@@ -30,7 +31,13 @@ def _signature(result):
     ]
 
 
-def _run(store=None, *, seed=1, workers=1, ecc="on", on_result=None, **kwargs):
+def _policy(store, refresh=False):
+    if store is None:
+        return None
+    return ExecutionPolicy(store=open_store(store), refresh=refresh)
+
+
+def _run(store=None, *, seed=1, workers=1, ecc="on", on_result=None, refresh=False, **kwargs):
     with telemetry_session() as telemetry:
         result = api.run_campaign(
             "FMXM",
@@ -39,7 +46,7 @@ def _run(store=None, *, seed=1, workers=1, ecc="on", on_result=None, **kwargs):
             seed=seed,
             ecc=ecc,
             workers=workers,
-            store=store,
+            policy=_policy(store, refresh),
             on_result=on_result,
             **kwargs,
         )
@@ -131,10 +138,13 @@ def test_refresh_forces_recompute(tmp_path):
 def test_resume_without_store_is_rejected(tmp_path):
     from repro.common.errors import ConfigurationError
 
-    with pytest.raises(ConfigurationError, match="require a store"):
-        _run(None, resume=True)
-    with pytest.raises(ConfigurationError, match="conflict"):
-        _run(str(tmp_path / "x.sqlite"), resume=True, refresh=True)
+    # resuming and refreshing both act on a store: a storeless policy
+    # never reads one, and refresh without a store is a configuration error
+    assert not ExecutionPolicy().read_allowed
+    with pytest.raises(ConfigurationError, match="requires a store"):
+        ExecutionPolicy(refresh=True)
+    refreshing = ExecutionPolicy(store=open_store(tmp_path / "r.sqlite"), refresh=True)
+    assert refreshing.write_allowed and not refreshing.read_allowed
 
 
 def test_beam_run_resumes_from_store(tmp_path):
@@ -149,9 +159,9 @@ def test_beam_run_resumes_from_store(tmp_path):
             return result, dict(telemetry.registry.counters)
 
     baseline, _ = beam()
-    first, cold = beam(store=store_path)
+    first, cold = beam(policy=_policy(store_path))
     assert cold["store.commits"] >= 1
-    warm, counters = beam(store=store_path)
+    warm, counters = beam(policy=_policy(store_path))
     assert counters.get("store.misses", 0) == 0
     assert warm.fit_sdc.value == baseline.fit_sdc.value == first.fit_sdc.value
     assert warm.fit_due.value == baseline.fit_due.value
@@ -170,11 +180,11 @@ def test_memory_avf_resumes_from_store(tmp_path):
     baseline = measure_memory_avf(KEPLER_K40C, workload, strikes=16, seed=4)
     with telemetry_session():
         cold = measure_memory_avf(
-            KEPLER_K40C, workload, strikes=16, seed=4, store=store_path
+            KEPLER_K40C, workload, strikes=16, seed=4, policy=_policy(store_path)
         )
     with telemetry_session() as telemetry:
         warm = measure_memory_avf(
-            KEPLER_K40C, workload, strikes=16, seed=4, store=store_path
+            KEPLER_K40C, workload, strikes=16, seed=4, policy=_policy(store_path)
         )
         counters = telemetry.registry.counters
     assert cold == warm == baseline
@@ -187,7 +197,7 @@ def test_session_threads_policy_through_config(tmp_path):
     from repro.experiments.session import ExperimentSession
 
     config = ExperimentConfig(
-        seed=5, injections=INJECTIONS, store=str(tmp_path / "sess.sqlite")
+        seed=5, injections=INJECTIONS, policy=_policy(str(tmp_path / "sess.sqlite"))
     )
     with telemetry_session() as t1:
         first = ExperimentSession(config).campaign("kepler", "nvbitfi", "FMXM")

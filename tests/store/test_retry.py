@@ -14,7 +14,7 @@ import pytest
 
 from repro.common.errors import ChunkQuarantinedError, ConfigurationError
 from repro.exec.engine import ProcessExecutor, SerialExecutor
-from repro.store import QUARANTINED, RunPolicy, open_store, resolve_policy
+from repro.store import QUARANTINED, ExecutionPolicy, open_store
 from repro.telemetry import telemetry_session
 
 
@@ -64,21 +64,20 @@ EXPECTED = [x * 10 for x in TASKS]
 
 def test_policy_validation():
     with pytest.raises(ConfigurationError):
-        RunPolicy(retries=-1)
+        ExecutionPolicy(retries=-1)
     with pytest.raises(ConfigurationError):
-        RunPolicy(backoff=-0.5)
-    with pytest.raises(ConfigurationError, match="not both"):
-        resolve_policy(store=None, policy=RunPolicy(), retries=3)
+        ExecutionPolicy(backoff=-0.5)
+    with pytest.raises(ConfigurationError):
+        ExecutionPolicy(on_crash="ignore")
     # retry-only policy: no store, still retries
-    policy = resolve_policy(retries=2, backoff=0.0)
+    policy = ExecutionPolicy(retries=2, backoff=0.0)
     assert policy.store is None and policy.retries == 2
     assert not policy.read_allowed and not policy.write_allowed
-    assert resolve_policy() is None
 
 
 def test_serial_retry_recovers_and_counts(tmp_path):
     context = MarkerContext(str(tmp_path))
-    policy = RunPolicy(retries=2, backoff=0.0)
+    policy = ExecutionPolicy(retries=2, backoff=0.0)
     with telemetry_session() as telemetry:
         results = SerialExecutor().run_chunks(flaky_chunk, context, TASKS, policy=policy)
         counters = telemetry.registry.counters
@@ -90,14 +89,14 @@ def test_serial_exhausted_retries_without_store_reraise(tmp_path):
     context = MarkerContext(str(tmp_path))
     with pytest.raises(RuntimeError, match="permanently poisoned"):
         SerialExecutor().run_chunks(
-            poison_chunk, context, TASKS, policy=RunPolicy(retries=1, backoff=0.0)
+            poison_chunk, context, TASKS, policy=ExecutionPolicy(retries=1, backoff=0.0)
         )
 
 
 def test_serial_quarantine_with_store(tmp_path):
     context = MarkerContext(str(tmp_path), salt=1)
     store = open_store(tmp_path / "q.sqlite")
-    policy = RunPolicy(store=store, retries=1, backoff=0.0)
+    policy = ExecutionPolicy(store=store, retries=1, backoff=0.0)
     with telemetry_session() as telemetry:
         with pytest.raises(ChunkQuarantinedError) as excinfo:
             SerialExecutor().run_chunks(poison_chunk, context, TASKS, policy=policy)
@@ -114,7 +113,7 @@ def test_serial_quarantine_with_store(tmp_path):
 
 def test_process_retry_recovers(tmp_path):
     context = MarkerContext(str(tmp_path), salt=2)
-    policy = RunPolicy(retries=2, backoff=0.0)
+    policy = ExecutionPolicy(retries=2, backoff=0.0)
     with ProcessExecutor(workers=2) as executor:
         results = executor.run_chunks(flaky_chunk, context, TASKS, policy=policy)
     assert results == EXPECTED
@@ -123,7 +122,7 @@ def test_process_retry_recovers(tmp_path):
 def test_process_quarantine_keeps_other_chunks(tmp_path):
     context = MarkerContext(str(tmp_path), salt=3)
     store = open_store(tmp_path / "pq.jsonl")
-    policy = RunPolicy(store=store, retries=1, backoff=0.0)
+    policy = ExecutionPolicy(store=store, retries=1, backoff=0.0)
     with ProcessExecutor(workers=2) as executor:
         with pytest.raises(ChunkQuarantinedError) as excinfo:
             executor.run_chunks(poison_chunk, context, TASKS, policy=policy)
@@ -140,7 +139,7 @@ def test_process_quarantine_keeps_other_chunks(tmp_path):
 def test_process_quarantined_rerun_reattempts_only_poison(tmp_path):
     context = MarkerContext(str(tmp_path), salt=4)
     store = open_store(tmp_path / "rq.sqlite")
-    policy = RunPolicy(store=store, retries=0, backoff=0.0)
+    policy = ExecutionPolicy(store=store, retries=0, backoff=0.0)
     with ProcessExecutor(workers=2) as executor:
         with pytest.raises(ChunkQuarantinedError):
             executor.run_chunks(poison_chunk, context, TASKS, policy=policy)
@@ -161,7 +160,7 @@ def test_broken_pool_is_rebuilt_and_chunks_retried(tmp_path):
     context = MarkerContext(str(tmp_path), salt=5)
     # generous retry budget: every pool break charges all in-flight chunks
     # a failed attempt, and each of the 6 chunks crashes its first worker
-    policy = RunPolicy(retries=8, backoff=0.0)
+    policy = ExecutionPolicy(retries=8, backoff=0.0)
     with ProcessExecutor(workers=2) as executor:
         results = executor.run_chunks(crashing_chunk, context, TASKS, policy=policy)
         # the rebuilt pool keeps serving later calls
@@ -175,5 +174,5 @@ def test_storeless_process_failure_propagates(tmp_path):
     with ProcessExecutor(workers=2) as executor:
         with pytest.raises(RuntimeError, match="permanently poisoned"):
             executor.run_chunks(
-                poison_chunk, context, TASKS, policy=RunPolicy(retries=0, backoff=0.0)
+                poison_chunk, context, TASKS, policy=ExecutionPolicy(retries=0, backoff=0.0)
             )

@@ -1,5 +1,5 @@
 """The ``repro`` facade: top-level surface, argument resolution, and the
-seed/rngs deprecation path."""
+single ``seed=`` RNG spelling."""
 
 import warnings
 
@@ -10,7 +10,6 @@ from repro.arch.devices import KEPLER_K40C, VOLTA_V100
 from repro.arch.ecc import EccMode
 from repro.beam.experiment import BeamExperiment
 from repro.common.errors import ConfigurationError
-from repro.common.rng import RngFactory
 from repro.faultsim.campaign import CampaignRunner
 from repro.faultsim.frameworks import NvBitFi, Sassifi
 from repro.workloads.base import Workload
@@ -144,35 +143,7 @@ def test_session_facade_is_experiment_session():
     assert campaign.injections == 25
 
 
-# -- seed unification / rngs deprecation ------------------------------------------
-
-
-def test_campaign_runner_rngs_warns_exactly_once():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        runner = CampaignRunner(KEPLER_K40C, NvBitFi(), rngs=RngFactory(7))
-    deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1
-    assert "CampaignRunner" in str(deprecations[0].message)
-    assert "seed=" in str(deprecations[0].message)
-    assert runner.rngs.root_seed == 7
-
-
-def test_beam_experiment_rngs_warns_exactly_once():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        experiment = BeamExperiment(KEPLER_K40C, rngs=RngFactory(5))
-    deprecations = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1
-    assert "BeamExperiment" in str(deprecations[0].message)
-    assert experiment.rngs.root_seed == 5
-
-
-def test_rngs_and_seed_together_is_an_error():
-    with pytest.raises(ValueError):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            CampaignRunner(KEPLER_K40C, NvBitFi(), rngs=RngFactory(1), seed=2)
+# -- seed unification -------------------------------------------------------------
 
 
 def test_seed_only_emits_no_warning():
@@ -181,12 +152,3 @@ def test_seed_only_emits_no_warning():
         CampaignRunner(KEPLER_K40C, NvBitFi(), seed=3)
         BeamExperiment(KEPLER_K40C, seed=3)
     assert not [w for w in caught if issubclass(w.category, DeprecationWarning)]
-
-
-def test_deprecated_rngs_still_drives_identical_results():
-    workload = repro.get_workload("kepler", "FMXM", seed=5)
-    new_style = CampaignRunner(KEPLER_K40C, NvBitFi(), seed=6).run(workload, 10)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        old_style = CampaignRunner(KEPLER_K40C, NvBitFi(), rngs=RngFactory(6)).run(workload, 10)
-    assert new_style.records == old_style.records

@@ -1,5 +1,4 @@
-"""CLI argument validation, exit codes, the bench regression gate, and the
-pinned resolve_rngs deprecation contract."""
+"""CLI argument validation, exit codes, and the bench regression gate."""
 
 import json
 import pathlib
@@ -214,27 +213,3 @@ def test_bench_writes_baseline_atomically(tmp_path, capsys):
     assert report["schema"] == "repro-bench-simulator/1"
     assert not list(tmp_path.glob("*.tmp"))
     capsys.readouterr()
-
-
-# -- the rngs= deprecation contract (pinned) ----------------------------------------
-
-
-def test_campaign_runner_rngs_kwarg_warns_deprecation():
-    from repro.arch.devices import KEPLER_K40C
-    from repro.common.rng import RngFactory
-    from repro.faultsim.campaign import CampaignRunner
-    from repro.faultsim.frameworks import NvBitFi
-
-    with pytest.warns(DeprecationWarning, match=r"pass seed=<int> instead"):
-        runner = CampaignRunner(KEPLER_K40C, NvBitFi(), rngs=RngFactory(7))
-    assert runner.rngs.root_seed == 7
-
-
-def test_resolve_rngs_rejects_both_spellings():
-    from repro.arch.devices import KEPLER_K40C
-    from repro.common.rng import RngFactory
-    from repro.faultsim.campaign import CampaignRunner
-    from repro.faultsim.frameworks import NvBitFi
-
-    with pytest.raises(ValueError, match="not both"):
-        CampaignRunner(KEPLER_K40C, NvBitFi(), rngs=RngFactory(7), seed=7)
