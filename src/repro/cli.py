@@ -72,19 +72,16 @@
     single-threaded and compute-bound), which is insensitive to other
     tenants on a shared machine.
 
-    Six layers are timed.  The first three pit the fast path ("fast")
-    against the always-available slow path ("reference", what the
-    equivalence suite pins the fast path against); the next two toggle
-    one execution knob each, fast path enabled in both arms; the last
-    swaps the executor itself:
+    Six layers are timed.  The first three time one arm each ("fast");
+    the next two toggle one execution knob each ("fast" on, "reference"
+    off); the last swaps the executor itself:
 
     * ``sim``      — golden DSL kernel executions (runs/sec and simulated
       instructions issued per second),
-    * ``sass``     — SASS-program executions through the interpreter
-      (compiled dispatch vs. tree-walk),
+    * ``sass``     — SASS-program executions through the interpreter,
     * ``campaign`` — end-to-end fault-injection campaign throughput
-      (injections/sec, replay off in both arms), the number the
-      paper-scale experiments multiply,
+      (injections/sec, replay off), the number the paper-scale
+      experiments multiply,
     * ``replay``   — the same campaign with snapshot replay on ("fast")
       vs vanilla full re-execution ("reference") — docs/PERFORMANCE.md,
     * ``batch``    — replay-enabled campaign with batched tape evaluation
@@ -102,7 +99,7 @@
 
     With ``--check``, the fresh measurement is compared against the
     committed baseline (``--out``, default ``BENCH_simulator.json``)
-    instead of overwriting it: any layer's fast-path throughput more than
+    instead of overwriting it: any layer's "fast" throughput more than
     ``--tolerance`` (default 25%) below the baseline exits non-zero — a
     perf regression gate for CI.
 """
@@ -170,7 +167,6 @@ def _time_runs(fn: Callable[[], object], runs: int, warmup: int) -> float:
 
 def _bench_sim(runs: int, warmup: int, seed: int) -> Dict[str, object]:
     from repro.arch.devices import KEPLER_K40C
-    from repro.sim.fastpath import fast_path
     from repro.sim.launch import run_kernel
     from repro.workloads.registry import get_workload
 
@@ -181,15 +177,12 @@ def _bench_sim(runs: int, warmup: int, seed: int) -> Dict[str, object]:
         return run_kernel(KEPLER_K40C, workload.kernel, workload.sim_launch())
 
     ticks = int(one().ticks)
-    out: Dict[str, Dict[str, float]] = {"runs_per_sec": {}, "ops_per_sec": {}}
-    for label, enabled in (("fast", True), ("reference", False)):
-        with fast_path(enabled):
-            per_run = _time_runs(one, runs, warmup)
-        out["runs_per_sec"][label] = round(1.0 / per_run, 1)
-        out["ops_per_sec"][label] = round(ticks / per_run, 1)
-    out["ticks_per_run"] = ticks
-    out["speedup"] = round(out["runs_per_sec"]["fast"] / out["runs_per_sec"]["reference"], 3)
-    return out
+    per_run = _time_runs(one, runs, warmup)
+    return {
+        "runs_per_sec": {"fast": round(1.0 / per_run, 1)},
+        "ops_per_sec": {"fast": round(ticks / per_run, 1)},
+        "ticks_per_run": ticks,
+    }
 
 
 def _bench_sass(runs: int, warmup: int) -> Dict[str, object]:
@@ -197,7 +190,6 @@ def _bench_sass(runs: int, warmup: int) -> Dict[str, object]:
 
     from repro.arch.devices import KEPLER_K40C
     from repro.sass import SassKernel, assemble
-    from repro.sim.fastpath import fast_path
     from repro.sim.launch import LaunchConfig, run_kernel
 
     program = assemble(_SASS_TEXT)
@@ -208,22 +200,18 @@ def _bench_sass(runs: int, warmup: int) -> Dict[str, object]:
     def one():
         return run_kernel(KEPLER_K40C, kernel, launch)
 
-    out: Dict[str, Dict[str, float]] = {"runs_per_sec": {}}
-    for label, enabled in (("fast", True), ("reference", False)):
-        with fast_path(enabled):
-            per_run = _time_runs(one, runs, warmup)
-        out["runs_per_sec"][label] = round(1.0 / per_run, 1)
-    out["speedup"] = round(out["runs_per_sec"]["fast"] / out["runs_per_sec"]["reference"], 3)
-    return out
+    per_run = _time_runs(one, runs, warmup)
+    return {"runs_per_sec": {"fast": round(1.0 / per_run, 1)}}
 
 
 def _clear_worker_state() -> None:
     """Drop the process-local campaign state cache between bench arms.
 
     The cache is keyed by campaign context, which does not (and must not —
-    records are mode-independent) include the fast-path mode, so without a
-    flush the second arm of an A/B measurement reuses sessions the first
-    arm built and the timing no longer isolates the toggled knob."""
+    records are knob-independent) include execution knobs such as
+    ``batch_eval``, so without a flush the second arm of an A/B measurement
+    reuses runners the first arm built and the timing no longer isolates
+    the toggled knob."""
     from repro.exec.worker import _STATE_CACHE
 
     _STATE_CACHE.clear()
@@ -231,45 +219,37 @@ def _clear_worker_state() -> None:
 
 def _bench_campaign(injections: int, warmup: int, seed: int) -> Dict[str, object]:
     from repro.api import ExecutionPolicy, get_workload, run_campaign
-    from repro.sim.fastpath import fast_path
 
-    # replay off in BOTH arms: this layer isolates the fast-path win on
-    # end-to-end campaign work (replay's own win is the `replay` layer,
-    # batched evaluation's the `batch` layer)
+    # replay off: this layer times every injection as a full re-execution
+    # (replay's own win is the `replay` layer, batched evaluation's the
+    # `batch` layer)
     policy = ExecutionPolicy(replay=False)
-    out: Dict[str, Dict[str, float]] = {"injections_per_sec": {}}
-    for label, enabled in (("fast", True), ("reference", False)):
-        workload = get_workload("kepler", "FMXM", seed=3)
-        _clear_worker_state()
-        with fast_path(enabled):
-            run_campaign(
-                workload, device="k40c", framework="nvbitfi", injections=warmup,
-                seed=seed, policy=policy,
-            )
-            elapsed = float("inf")
-            for _ in range(_REPEATS):
-                with _gc_paused():
-                    t0 = time.process_time()
-                    run_campaign(
-                        workload,
-                        device="k40c",
-                        framework="nvbitfi",
-                        injections=injections,
-                        seed=seed + 1,
-                        policy=policy,
-                    )
-                    elapsed = min(elapsed, time.process_time() - t0)
-        out["injections_per_sec"][label] = round(injections / elapsed, 1)
-    out["speedup"] = round(
-        out["injections_per_sec"]["fast"] / out["injections_per_sec"]["reference"], 3
+    workload = get_workload("kepler", "FMXM", seed=3)
+    _clear_worker_state()
+    run_campaign(
+        workload, device="k40c", framework="nvbitfi", injections=warmup,
+        seed=seed, policy=policy,
     )
-    return out
+    elapsed = float("inf")
+    for _ in range(_REPEATS):
+        with _gc_paused():
+            t0 = time.process_time()
+            run_campaign(
+                workload,
+                device="k40c",
+                framework="nvbitfi",
+                injections=injections,
+                seed=seed + 1,
+                policy=policy,
+            )
+            elapsed = min(elapsed, time.process_time() - t0)
+    return {"injections_per_sec": {"fast": round(injections / elapsed, 1)}}
 
 
 def _bench_replay(injections: int, warmup: int, seed: int) -> Dict[str, object]:
     """Campaign throughput with checkpoint/replay on ("fast") vs off
-    ("reference"), fast path enabled in both — isolates the replay win the
-    equivalence suite pins to bit-identical records."""
+    ("reference") — isolates the replay win the equivalence suite pins to
+    bit-identical records."""
     from repro.api import ExecutionPolicy, get_workload, run_campaign
 
     out: Dict[str, Dict[str, float]] = {"injections_per_sec": {}}
@@ -443,7 +423,6 @@ def _bench_baseline(
     )
     try:
         env = dict(os.environ, PYTHONPATH=str(worktree / "src"))
-        env.pop("REPRO_FAST_PATH", None)  # pre-dates the baseline ref
         script = _BASELINE_SCRIPT.format(
             warmup=warmup, injections=injections, seed=seed, repeats=_REPEATS
         )
@@ -466,21 +445,19 @@ def check_regression(
     """Compare a fresh bench report against a committed baseline.
 
     Pure: returns a list of human-readable regression strings, one per
-    layer metric whose fast-path throughput fell more than ``tolerance``
+    layer metric whose "fast" throughput fell more than ``tolerance``
     (a fraction, e.g. 0.25) below the baseline.  Layers or metrics absent
     from either report are skipped — a new layer can't fail the gate
     before its baseline is committed.
 
-    Three absolute gates ride along, *declared by the baseline* (so a
+    Two absolute gates ride along, *declared by the baseline* (so a
     downsized smoke bench against a synthetic baseline doesn't trip them):
-    when the baseline's ``campaign`` layer records a ``speedup``, the fresh
-    fast/reference speedup must stay >= 1.0 (the fast path must never be a
-    pessimization); when a baseline layer records
-    ``target_injections_per_sec`` (the ``batch`` layer in the committed
-    baseline), the fresh fast arm must stay at or above that floor; and
-    when a baseline layer records ``max_overhead`` (the ``service`` layer),
-    the fresh fast arm must stay within that fraction of its *own*
-    reference arm — the service's coordination overhead ceiling.
+    when a baseline layer records ``target_injections_per_sec`` (the
+    ``batch`` layer in the committed baseline), the fresh fast arm must
+    stay at or above that floor; and when a baseline layer records
+    ``max_overhead`` (the ``service`` layer), the fresh fast arm must stay
+    within that fraction of its *own* reference arm — the service's
+    coordination overhead ceiling.
     """
     regressions = []
     base_layers = baseline.get("layers", {})
@@ -488,13 +465,6 @@ def check_regression(
         base_metrics = base_layers.get(layer)
         if not isinstance(base_metrics, dict):
             continue
-        if layer == "campaign" and "speedup" in base_metrics:
-            speedup = metrics.get("speedup")
-            if speedup is not None and float(speedup) < 1.0:
-                regressions.append(
-                    f"campaign.speedup: {float(speedup):.3f} < 1.0 — the fast "
-                    "path is slower than the reference path"
-                )
         target = base_metrics.get("target_injections_per_sec")
         if target is not None:
             fast = metrics.get("injections_per_sec", {}).get("fast")
@@ -1364,13 +1334,7 @@ def main(argv: Optional[list] = None) -> int:
         batch = report["layers"]["batch"]
         service = report["layers"]["service"]
         print(f"wrote {out}")
-        print(
-            "campaign: fast {fast} inj/s vs reference {ref} inj/s (x{speedup})".format(
-                fast=campaign["injections_per_sec"]["fast"],
-                ref=campaign["injections_per_sec"]["reference"],
-                speedup=campaign["speedup"],
-            )
-        )
+        print("campaign: {fast} inj/s".format(fast=campaign["injections_per_sec"]["fast"]))
         print(
             "replay:   on {fast} inj/s vs off {ref} inj/s (x{speedup})".format(
                 fast=replay["injections_per_sec"]["fast"],

@@ -40,7 +40,6 @@ from repro.faultsim.outcomes import CampaignResult, InjectionRecord, Outcome
 from repro.faultsim.sandbox import WATCHDOG_FACTOR, InjectionSandbox, SandboxLimits
 from repro.sim.exceptions import ContainedCrashError, GpuDeviceException
 from repro.faultsim.batch import BatchEvaluator
-from repro.sim.fastpath import fast_path_enabled
 from repro.sim.injection import InjectionMode, InjectionPlan, StorageStrike
 from repro.sim.launch import KernelRun, count_run_telemetry, run_kernel
 from repro.sim.replay import ReplaySession
@@ -125,8 +124,8 @@ class CampaignRunner:
         self.snapshots_per_run = knobs.snapshots_per_run
         self.batch_eval = knobs.batch_eval
         self._golden: Dict[str, KernelRun] = {}
-        self._sessions: Dict[Tuple[str, bool], ReplaySession] = {}
-        self._batch_evaluators: Dict[Tuple[str, bool], BatchEvaluator] = {}
+        self._sessions: Dict[str, ReplaySession] = {}
+        self._batch_evaluators: Dict[str, BatchEvaluator] = {}
         self._secded = SecdedModel(mode=ecc)
         #: the process that owns the policy's store handle: a pool worker
         #: forked with this runner in its state cache must not read through
@@ -147,15 +146,13 @@ class CampaignRunner:
 
     # -- checkpoint/replay ------------------------------------------------------
     def _session(self, workload: Workload) -> ReplaySession:
-        """The workload's replay session, keyed by the fast-path mode (the
-        recorded tape encodes which trace-accounting path it took).
+        """The workload's replay session.
 
         Created on first use and seeded then from the tape a previous run
         stored.  A serial run first uses it when some chunk actually
         evaluates, so a fully warm serial campaign never loads (or
         unpickles) a tape; a parallel run creates it before dispatch."""
-        key = (workload.name, fast_path_enabled())
-        session = self._sessions.get(key)
+        session = self._sessions.get(workload.name)
         if session is None:
             golden = self.golden(workload)
             session = ReplaySession(
@@ -167,18 +164,16 @@ class CampaignRunner:
                 snapshots_per_run=self.snapshots_per_run,
                 expected_ticks=golden.ticks,
             )
-            self._sessions[key] = session
+            self._sessions[workload.name] = session
             self._load_session_state(workload, session)
         return session
 
     def _batch_evaluator(self, workload: Workload) -> BatchEvaluator:
-        """The workload's batched evaluator, keyed like the session (the
-        evaluator indexes the session's tape, which is fast-path-shaped)."""
-        key = (workload.name, fast_path_enabled())
-        evaluator = self._batch_evaluators.get(key)
+        """The workload's batched evaluator over its session's tape."""
+        evaluator = self._batch_evaluators.get(workload.name)
         if evaluator is None:
             evaluator = BatchEvaluator(self.golden(workload), self._session(workload))
-            self._batch_evaluators[key] = evaluator
+            self._batch_evaluators[workload.name] = evaluator
         return evaluator
 
     # -- one injection -----------------------------------------------------------
@@ -459,15 +454,16 @@ class CampaignRunner:
     #
     # The recorded tape + snapshots are themselves content-addressed: keyed
     # by the campaign context (device, framework, ECC, workload, seed salt)
-    # plus the fast-path mode and snapshot density, under STORE_SALT.  They
-    # ride in the same store as chunk results but talk to the backend
-    # directly — session records are bookkeeping, not campaign results, so
-    # they must not perturb the store.hits / store.tasks_replayed /
-    # store.commits accounting the resume contract pins down.
+    # plus the snapshot density, under STORE_SALT.  They ride in the same
+    # store as chunk results but talk to the backend directly — session
+    # records are bookkeeping, not campaign results, so they must not
+    # perturb the store.hits / store.tasks_replayed / store.commits
+    # accounting the resume contract pins down.
     def _session_fingerprint(self, context: CampaignContext, workload: Workload) -> str:
         descriptor = {
             "replay_session": workload.name,
-            "fast_path": fast_path_enabled(),
+            # a constant: kept so stored tapes keep their fingerprints
+            "fast_path": True,
             "snapshots_per_run": self.snapshots_per_run,
         }
         return chunk_fingerprints(context, [[descriptor]])[0]
@@ -492,7 +488,7 @@ class CampaignRunner:
         policy = self.policy
         if policy is None or not policy.write_allowed:
             return
-        session = self._sessions.get((workload.name, fast_path_enabled()))
+        session = self._sessions.get(workload.name)
         if session is None:
             return  # every evaluation ran in spawned workers or vanilla
         payload = session.export_state()

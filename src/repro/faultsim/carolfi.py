@@ -18,7 +18,7 @@ AVFs drift from the SASS-level ones on the same codes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from repro.common.rng import RngFactory
 from repro.faultsim.outcomes import CampaignResult, InjectionRecord, Outcome
 from repro.faultsim.sandbox import WATCHDOG_FACTOR, InjectionSandbox
 from repro.sim.exceptions import ContainedCrashError, GpuDeviceException
-from repro.sim.fastpath import fast_path_enabled
 from repro.sim.injection import StorageStrike
 from repro.sim.launch import KernelRun, run_kernel
 from repro.sim.replay import ReplaySession
@@ -59,14 +58,13 @@ class CarolFi:
         self.replay_enabled = replay
         self.snapshots_per_run = snapshots_per_run
         self._golden: Dict[str, KernelRun] = {}
-        self._sessions: Dict[Tuple[str, bool], ReplaySession] = {}
+        self._sessions: Dict[str, ReplaySession] = {}
 
     def _session(self, workload: Workload) -> ReplaySession:
         # the injected runs execute ECC OFF (the debugger writes around
         # ECC), so the session captures ECC OFF too; without a strike the
         # executed stream — and therefore golden.ticks — is ECC-invariant
-        key = (workload.name, fast_path_enabled())
-        session = self._sessions.get(key)
+        session = self._sessions.get(workload.name)
         if session is None:
             golden = self.golden(workload)
             session = ReplaySession(
@@ -78,7 +76,7 @@ class CarolFi:
                 snapshots_per_run=self.snapshots_per_run,
                 expected_ticks=golden.ticks,
             )
-            self._sessions[key] = session
+            self._sessions[workload.name] = session
         return session
 
     def golden(self, workload: Workload) -> KernelRun:

@@ -31,7 +31,7 @@ mechanistic replay is contained like any other injection.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, Type
+from typing import Dict, Optional, Tuple, Type
 
 import numpy as np
 
@@ -58,7 +58,6 @@ from repro.sim.injection import (
     StorageStrike,
     gpr_write_stream,
 )
-from repro.sim.fastpath import fast_path_enabled
 from repro.sim.launch import KernelRun, run_kernel
 from repro.sim.replay import ReplaySession
 from repro.telemetry import get_telemetry
@@ -117,7 +116,7 @@ class UncoreInjector:
         self.replay_enabled = replay
         self.snapshots_per_run = snapshots_per_run
         self._golden: Dict[str, KernelRun] = {}
-        self._sessions: Dict[Tuple[str, bool], ReplaySession] = {}
+        self._sessions: Dict[str, ReplaySession] = {}
 
     # -- golden ---------------------------------------------------------------
     def golden(self, workload: Workload) -> KernelRun:
@@ -132,8 +131,7 @@ class UncoreInjector:
         return self._golden[workload.name]
 
     def _session(self, workload: Workload) -> ReplaySession:
-        key = (workload.name, fast_path_enabled())
-        session = self._sessions.get(key)
+        session = self._sessions.get(workload.name)
         if session is None:
             golden = self.golden(workload)
             session = ReplaySession(
@@ -145,7 +143,7 @@ class UncoreInjector:
                 snapshots_per_run=self.snapshots_per_run,
                 expected_ticks=golden.ticks,
             )
-            self._sessions[key] = session
+            self._sessions[workload.name] = session
         return session
 
     # -- site weighting -------------------------------------------------------

@@ -326,7 +326,7 @@ def _bench_section(
                 out.append("<h2>Bench trajectory</h2>")
             out.append(_figure(
                 sparkline(values, "Campaign throughput trajectory"),
-                f"Campaign fast-path throughput across {len(values)} recorded "
+                f"Campaign throughput across {len(values)} recorded "
                 f"bench runs: {_fmt(values[0])} → {_fmt(values[-1])} inj/s "
                 "(BENCH_history.jsonl).",
             ))

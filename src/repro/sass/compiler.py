@@ -1,10 +1,10 @@
 """One-time lowering of a :class:`Program` to bound per-instruction closures.
 
-The tree-walking interpreter (:mod:`repro.sass.interpreter`) re-dispatches
-every dynamic instruction through an ``if/elif`` mnemonic chain and resolves
-every operand through name-keyed dict lookups.  For campaign workloads the
-same static program runs tens of thousands of times, so this module performs
-that resolution once per :class:`Program`:
+This is how :class:`~repro.sass.interpreter.SassKernel` executes a program:
+every SASS instruction maps onto the corresponding
+:class:`~repro.sim.context.KernelContext` primitive.  For campaign workloads
+the same static program runs tens of thousands of times, so all dispatch and
+name resolution happens once per :class:`Program`:
 
 * every mnemonic/modifier is dispatched at *compile* time — each instruction
   becomes one closure over pre-bound context primitives,
@@ -16,12 +16,12 @@ that resolution once per :class:`Program`:
 * per-mnemonic telemetry keys (``sass.instructions.<mnemonic>``) are
   precomputed instead of f-string-built per run.
 
-The lowering preserves the interpreter's observable semantics exactly — the
-order of context emissions (and therefore traces, injection-stream ordinals,
-and RNG draws) is bit-identical, which the fast-path equivalence suite
-enforces.  Compiled programs are cached on the :class:`Program` instance and
-dropped on pickling (closures don't cross process boundaries; workers
-recompile once per process).
+The order of context emissions (and therefore traces, injection-stream
+ordinals, and RNG draws) follows the program text; ``tests/sass`` pins the
+outputs, traces and telemetry of a kitchen-sink program, clean and injected.
+Compiled programs are cached on the :class:`Program` instance and dropped on
+pickling (closures don't cross process boundaries; workers recompile once
+per process).
 """
 
 from __future__ import annotations
@@ -34,18 +34,6 @@ from repro.arch.dtypes import DType
 from repro.common.errors import SimulationError
 from repro.sass.program import Instruction, Operand, OperandKind, Program
 from repro.sim.values import Val
-
-#: mnemonic → telemetry key, shared by the compiled and tree-walk flushes
-_TELEMETRY_KEYS: Dict[str, str] = {}
-
-
-def telemetry_key(mnemonic: str) -> str:
-    """``sass.instructions.<mnemonic>``, built once per mnemonic."""
-    key = _TELEMETRY_KEYS.get(mnemonic)
-    if key is None:
-        key = _TELEMETRY_KEYS[mnemonic] = f"sass.instructions.{mnemonic}"
-    return key
-
 
 _SPECIAL_ATTRS = {"%tid": "thread_idx", "%bid": "block_idx", "%gid": "global_id"}
 
@@ -61,8 +49,8 @@ class CompiledState:
         self.preds: List[Optional[Val]] = [None] * compiled.n_preds
         self.consts: List[Optional[np.ndarray]] = [None] * compiled.n_consts
         self.counts = [0] * len(compiled.slot_mnemonics)
-        # allocation order matches the tree-walk _ExecState exactly (memory
-        # pool layout decides wild-access behavior)
+        # allocation order is declaration order: global buffers, then
+        # shared ones (memory pool layout decides wild-access behavior)
         bufs = []
         for name in compiled.buffer_names:
             dtype = kernel.buffer_dtype(name)
@@ -302,8 +290,8 @@ class _Compiler:
                 read = self._reader(src, dtype)
 
                 def fn(state, _read=read, _dest=dest):
-                    # immediates/specials land in the register file without a
-                    # MOV emission, exactly as the tree-walk interpreter does
+                    # immediates/specials land in the register file with no
+                    # extra MOV emission (a special read emits its own)
                     state.regs[_dest] = _read(state)
 
                 return fn
@@ -490,7 +478,7 @@ class _Compiler:
         compiled.shared_decls = tuple(self.program.shared)
         compiled.buffer_slots = dict(self.buf_slots)
         compiled.slot_mnemonics = tuple(self.slot_mnemonics)
-        compiled.slot_keys = tuple(telemetry_key(m) for m in self.slot_mnemonics)
+        compiled.slot_keys = tuple(f"sass.instructions.{m}" for m in self.slot_mnemonics)
         return compiled
 
 

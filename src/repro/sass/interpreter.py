@@ -1,7 +1,8 @@
 """Interpreter: execute an assembled :class:`Program` on a KernelContext.
 
-The interpreter maps every SASS instruction onto the corresponding context
-primitive, so assembled kernels get the full treatment automatically:
+:class:`SassKernel` runs the program as lowered by :mod:`repro.sass.compiler`,
+which maps every SASS instruction onto the corresponding context primitive,
+so assembled kernels get the full treatment automatically:
 instruction-accurate traces (profiling), injectable destinations (fault
 simulation), and exposure accounting (beam experiments).
 """
@@ -13,10 +14,9 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.arch.dtypes import DType
-from repro.common.errors import ConfigurationError, SimulationError
-from repro.sass.compiler import CompiledState, compiled_for, telemetry_key
-from repro.sass.program import Instruction, Operand, OperandKind, Program
-from repro.sim.fastpath import fast_path_enabled
+from repro.common.errors import ConfigurationError
+from repro.sass.compiler import CompiledState, compiled_for
+from repro.sass.program import Program
 from repro.telemetry import get_telemetry
 
 
@@ -27,10 +27,8 @@ class SassKernel:
     undeclared-in-inputs buffers are zero-initialized with ``shapes[name]``.
     ``outputs`` names the buffers returned from the run.
 
-    Execution has two equivalent engines: the tree-walking interpreter below
-    (the reference) and the closure compiler in :mod:`repro.sass.compiler`
-    (the default when the simulator fast path is on).  The equivalence suite
-    pins them bit-identical.
+    Each run executes the program as lowered once by the closure compiler
+    in :mod:`repro.sass.compiler` (cached on the program).
     """
 
     def __init__(
@@ -80,25 +78,13 @@ class SassKernel:
 
     # -- kernel protocol -----------------------------------------------------------
     def __call__(self, ctx) -> Dict[str, np.ndarray]:
-        if fast_path_enabled():
-            return self._call_compiled(ctx)
-        state = _ExecState(ctx, self)
-        try:
-            state.run(self.program.instructions)
-        finally:
-            # flush retired-instruction telemetry in one registry pass per
-            # run (kept even when a simulated fault aborts the kernel)
-            telemetry = get_telemetry()
-            for mnemonic, n in state.retired.items():
-                telemetry.count(telemetry_key(mnemonic), n)
-        return {name: ctx.read_buffer(state.buffers[name]) for name in self.outputs}
-
-    def _call_compiled(self, ctx) -> Dict[str, np.ndarray]:
         compiled = compiled_for(self.program)
         state = CompiledState(ctx, compiled, self)
         try:
             compiled.run(state)
         finally:
+            # flush retired-instruction telemetry in one registry pass per
+            # run (kept even when a simulated fault aborts the kernel)
             telemetry = get_telemetry()
             counts = state.counts
             keys = compiled.slot_keys
@@ -124,168 +110,3 @@ def _buffer_dtype(kernel: SassKernel, name: str) -> DType:
 
         return dtype_of_array(np.asarray(kernel.inputs[name]))
     return DType.FP32
-
-
-class _ExecState:
-    """Mutable execution state: register/predicate files and buffers."""
-
-    def __init__(self, ctx, kernel: SassKernel) -> None:
-        self.ctx = ctx
-        self.kernel = kernel
-        self.regs: Dict[str, object] = {}
-        self.preds: Dict[str, object] = {}
-        self.retired: Dict[str, int] = {}   # warp-instructions per mnemonic
-        self.buffers = {}
-        for name in kernel.program.buffers:
-            dtype = kernel.buffer_dtype(name)
-            canonical = kernel.canonical_input(name)
-            if canonical is not None:
-                self.buffers[name] = ctx.alloc(name, canonical, dtype)
-            else:
-                self.buffers[name] = ctx.alloc_zeros(name, kernel.shapes[name], dtype)
-        for name, elements in kernel.program.shared:
-            dtype = kernel.dtypes.get(name, DType.FP32)
-            self.buffers[name] = ctx.shared_alloc(name, elements, dtype)
-
-    # -- operand resolution -----------------------------------------------------------
-    def value(self, op: Operand, dtype: DType):
-        ctx = self.ctx
-        if op.kind is OperandKind.REGISTER:
-            val = self.regs[op.name]
-            if val.dtype is not dtype:
-                # registers are untyped storage on real hardware; reading a
-                # register at a different width reinterprets via convert
-                return ctx.cvt(val, dtype)
-            return val
-        if op.kind is OperandKind.IMMEDIATE:
-            if dtype is DType.INT32:
-                return ctx.const(int(op.value), dtype)
-            return ctx.const(op.value, dtype)
-        if op.kind is OperandKind.SPECIAL:
-            return {
-                "%tid": ctx.thread_idx,
-                "%bid": ctx.block_idx,
-                "%gid": ctx.global_id,
-            }[op.name]()
-        raise SimulationError(f"operand {op} cannot be read as a value")
-
-    def address(self, op: Operand):
-        """Element index Val for a memory operand."""
-        ctx = self.ctx
-        if op.index_register is None:
-            base = ctx.const(op.index_offset, DType.INT32)
-            return self.buffers[op.name], base
-        idx = self.regs[op.index_register]
-        if idx.dtype is not DType.INT32:
-            idx = ctx.cvt(idx, DType.INT32)
-        if op.index_offset:
-            idx = ctx.add(idx, op.index_offset)
-        return self.buffers[op.name], idx
-
-    # -- execution ------------------------------------------------------------------------
-    def run(self, block: Sequence[Instruction]) -> None:
-        retired = self.retired
-        for instr in block:
-            if instr.mnemonic == "LOOP":
-                for _ in self.ctx.range(instr.loop_count):
-                    self.run(instr.body)
-                continue
-            retired[instr.mnemonic] = retired.get(instr.mnemonic, 0) + 1
-            if instr.guard is not None:
-                with self.ctx.masked(self.preds[instr.guard]):
-                    self._execute_guarded(instr)
-            else:
-                self.execute(instr)
-
-    def _execute_guarded(self, instr: Instruction) -> None:
-        """Predicated execution: a masked-off lane must keep its old
-        register value, as real predication does."""
-        dest = instr.dest
-        table = None
-        if dest is not None and dest.kind is OperandKind.REGISTER:
-            table = self.regs
-        elif dest is not None and dest.kind is OperandKind.PREDICATE:
-            table = self.preds
-        old = table.get(dest.name) if table is not None else None
-        self.execute(instr)
-        if table is None or old is None:
-            return
-        new = table[dest.name]
-        mask = self.ctx.mask
-        old_data = old.data if old.dtype is new.dtype or new.dtype is None else old.data.astype(
-            new.dtype.np_dtype
-        )
-        new.data = np.where(mask, new.data, old_data)
-
-    def execute(self, instr: Instruction) -> None:
-        ctx = self.ctx
-        m = instr.mnemonic
-        dtype = instr.dtype or DType.FP32
-
-        if m in ("LDG", "LDS"):
-            buf, idx = self.address(instr.sources[0])
-            self.regs[instr.dest.name] = ctx.ld(buf, idx)
-            return
-        if m in ("STG", "STS"):
-            buf, idx = self.address(instr.dest)
-            value = self.value(instr.sources[0], buf.dtype)
-            ctx.st(buf, idx, value)
-            return
-        if m == "BAR":
-            ctx.bar()
-            return
-        if m == "NOP":
-            ctx.nop()
-            return
-        if m == "SETP":
-            a = self.value(instr.sources[0], dtype)
-            b = self.value(instr.sources[1], dtype)
-            self.preds[instr.dest.name] = ctx.setp(a, instr.modifier.lower(), b)
-            return
-        if m == "SEL":
-            pred = self.preds[instr.sources[0].name]
-            a = self.value(instr.sources[1], dtype)
-            b = self.value(instr.sources[2], dtype)
-            self.regs[instr.dest.name] = ctx.where(pred, a, b)
-            return
-        if m == "MOV":
-            src = instr.sources[0]
-            if src.kind in (OperandKind.SPECIAL, OperandKind.IMMEDIATE):
-                self.regs[instr.dest.name] = self.value(src, dtype)
-            else:
-                self.regs[instr.dest.name] = ctx.mov(self.value(src, self.regs[src.name].dtype))
-            return
-        if m == "CVT":
-            src = self.value(instr.sources[0], self.regs[instr.sources[0].name].dtype)
-            self.regs[instr.dest.name] = ctx.cvt(src, dtype)
-            return
-        if m == "MUFU":
-            a = self.value(instr.sources[0], dtype)
-            fn = {"RCP": lambda: ctx.div(ctx.const(1.0, dtype), a),
-                  "SQRT": lambda: ctx.sqrt(a),
-                  "EX2": lambda: ctx.exp(a)}[instr.modifier]
-            self.regs[instr.dest.name] = fn()
-            return
-
-        # ---- plain arithmetic -----------------------------------------------------
-        srcs = [self.value(s, dtype) for s in instr.sources]
-        if m in ("IADD", "FADD", "HADD", "DADD"):
-            result = ctx.add(srcs[0], srcs[1])
-        elif m in ("ISUB", "FSUB"):
-            result = ctx.sub(srcs[0], srcs[1])
-        elif m in ("IMUL", "FMUL", "HMUL", "DMUL"):
-            result = ctx.mul(srcs[0], srcs[1])
-        elif m in ("IMAD", "FFMA", "HFMA", "DFMA"):
-            result = ctx.fma(srcs[0], srcs[1], srcs[2])
-        elif m == "LOP":
-            fn = {"AND": ctx.bit_and, "OR": ctx.bit_or, "XOR": ctx.bit_xor}[instr.modifier]
-            result = fn(srcs[0], srcs[1])
-        elif m == "SHF":
-            amount = int(instr.sources[1].value)
-            result = ctx.shl(srcs[0], amount) if instr.modifier == "L" else ctx.shr(srcs[0], amount)
-        elif m in ("IMNMX", "FMNMX"):
-            fn = ctx.minimum if instr.modifier == "MIN" else ctx.maximum
-            result = fn(srcs[0], srcs[1])
-        else:  # pragma: no cover - assembler rejects unknown mnemonics
-            raise SimulationError(f"unhandled mnemonic {m}")
-        self.regs[instr.dest.name] = result

@@ -39,7 +39,6 @@ from repro.arch.dtypes import DType
 from repro.arch.ecc import EccOutcome, SecdedModel
 from repro.arch.isa import OP_COUNT, OpClass, arith_op
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.sim.fastpath import fast_path_enabled
 from repro.sim.exceptions import (
     EccDoubleBitError,
     IllegalAddressError,
@@ -164,7 +163,7 @@ class KernelContext:
         # _REGISTER_TABLE_CAP virtual registers (slot = vreg % cap), the
         # candidate pool for RF strikes and wrong-path corruption
         self._reg_ring: List[Optional[Val]] = [None] * _REGISTER_TABLE_CAP
-        #: fast path's shared loop-counter lane array (see :meth:`range`)
+        #: shared loop-counter lane array (see :meth:`range`)
         self._loop_counter: Optional[np.ndarray] = None
         self._arith_since_deadcode = 0
         self._deadcode = backend == "cuda7"
@@ -175,12 +174,11 @@ class KernelContext:
         self._strike_cursor = 0
         self._next_strike_tick: float = math.inf
 
-        # -- fast-path (quiet mode) state; see repro.sim.fastpath -----------
-        # Batched trace accounting: int-indexed per-op accumulators flushed
-        # once per run (through the .trace property), in first-touch order so
-        # Counter insertion order — and therefore every order-dependent float
-        # sum downstream — matches the per-emit reference path bit for bit.
-        self._fast = fast_path_enabled()
+        # -- batched trace accounting --------------------------------------
+        # Int-indexed per-op accumulators flushed once per run (through the
+        # .trace property), in first-touch order, so Counter insertion order
+        # — and every order-dependent float sum downstream — is the order
+        # in which the kernel first emitted each op class.
         self._inst_acc: List[float] = [0.0] * OP_COUNT
         self._issue_acc: List[float] = [0.0] * OP_COUNT
         self._touched: List[OpClass] = []
@@ -196,7 +194,7 @@ class KernelContext:
     # ------------------------------------------------------------------ trace
     @property
     def trace(self):
-        """The execution trace; flushes any batched fast-path accounting."""
+        """The execution trace; flushes any batched accounting."""
         self._flush_trace()
         return self._trace
 
@@ -298,7 +296,7 @@ class KernelContext:
         if self.plan is not None:
             raise ConfigurationError("a plan is already armed (single-fault regime)")
         self.plan = plan
-        # Pre-arm table: the per-emit offer becomes an int-indexed load
+        # Pre-arm table: each emission's offer is an int-indexed load
         # instead of a predicate call chain (covers → stream → writes-reg).
         # Entries fill lazily on first emission of each op class, so a run
         # only ever resolves the handful of classes its kernel emits.
@@ -410,56 +408,38 @@ class KernelContext:
         n = self._active_count * weight
         if n <= 0:
             return result
-        if self._fast:
-            # Quiet mode: accumulate trace counts int-indexed (flushed once
-            # through .trace), check strikes/watchdog against precomputed
-            # thresholds, and offer to the armed plan via the covers table.
-            # Every float is accumulated in the same order as the reference
-            # branch below, so the flushed trace is bit-identical.
-            index = op.op_index
-            inst = self._inst_acc
-            if not self._touched_flags[index]:
-                self._touched_flags[index] = 1
-                self._touched.append(op)
-            inst[index] += n
-            self._issue_acc[index] += n if self.warp_lanes else n / self._warp_size
-            self._act_acc += self._active_warps
-            self._launch_acc += self._total_warps
-            self.tick += n
-            if self.tick >= self._next_strike_tick:
-                self._apply_due_strikes()
-            if self.tick > self._watchdog:
-                raise WatchdogTimeout(int(self.tick), int(self.watchdog_limit))
-            covers = self._covers
-            if covers is not None:
-                covered = covers[index]
-                if covered is None:
-                    covered = covers[index] = self.plan.covers(op)
-                if covered:
-                    plan = self.plan
-                    start = plan.stream_count
-                    plan.stream_count = start + n
-                    if start <= plan.target_index < start + n:
-                        self._fire_claimed(
-                            plan, op, result, float(plan.target_index - start), weight
-                        )
-                        if plan.fired:
-                            self._covers = None
-            return result
-        # -- reference path (fast path off): per-emit recording and offers --
-        issue = n if self.warp_lanes else n / self.device.warp_size
-        self._trace.record(op, n, issue)
-        self._trace.record_activity(self._active_warps, self._total_warps)
+        # accumulate trace counts int-indexed (flushed once through
+        # .trace), check strikes/watchdog against precomputed thresholds,
+        # and offer to the armed plan via the covers table
+        index = op.op_index
+        inst = self._inst_acc
+        if not self._touched_flags[index]:
+            self._touched_flags[index] = 1
+            self._touched.append(op)
+        inst[index] += n
+        self._issue_acc[index] += n if self.warp_lanes else n / self._warp_size
+        self._act_acc += self._active_warps
+        self._launch_acc += self._total_warps
         self.tick += n
-        if self._strikes:
+        if self.tick >= self._next_strike_tick:
             self._apply_due_strikes()
         if self.tick > self._watchdog:
             raise WatchdogTimeout(int(self.tick), int(self.watchdog_limit))
-        plan = self.plan
-        if plan is not None and not plan.fired and plan.mode is InjectionMode.OUTPUT_VALUE:
-            offset = plan.claim(op, n)
-            if offset is not None:
-                self._fire_claimed(plan, op, result, offset, weight)
+        covers = self._covers
+        if covers is not None:
+            covered = covers[index]
+            if covered is None:
+                covered = covers[index] = self.plan.covers(op)
+            if covered:
+                plan = self.plan
+                start = plan.stream_count
+                plan.stream_count = start + n
+                if start <= plan.target_index < start + n:
+                    self._fire_claimed(
+                        plan, op, result, float(plan.target_index - start), weight
+                    )
+                    if plan.fired:
+                        self._covers = None
         return result
 
     def _fire_claimed(self, plan: InjectionPlan, op: OpClass, result: Optional[Val], offset: float, weight: int) -> None:
@@ -845,7 +825,7 @@ class KernelContext:
 
         Returns (gather-safe indices, wild-lane mask or None, byte addrs).
         """
-        if self._fast and self._all_active:
+        if self._all_active:
             # common case: every lane in bounds — one scalar reduction
             # instead of three lane-wide boolean passes.  Viewed as uint32,
             # negative indices wrap above 2**31 > elements, so a single max
@@ -872,8 +852,7 @@ class KernelContext:
         # plan, all indices in bounds — a bare gather with one scalar
         # reduction for the bounds proof (uint32 view: negatives wrap high)
         if (
-            self._fast
-            and self._all_active
+            self._all_active
             and not self._addr_plan
             and buf.space == "global"
             and int(np.maximum.reduce(indices.view(_UINT32))) < buf.elements
@@ -891,7 +870,7 @@ class KernelContext:
         mask = self._mask_stack[-1]
         # all lanes active: the mask blends below are identities — skip the
         # lane-wide np.where passes (values are unchanged, so bit-identical)
-        all_active = self._fast and self._all_active
+        all_active = self._all_active
         if buf.space == "shared":
             # a wild shared-memory index wraps within the SM's shared array
             # (shared addressing cannot reach global space, so no DUE)
@@ -935,8 +914,7 @@ class KernelContext:
         indices = self._index_array(idx)
         # dedicated fast route, mirroring :meth:`ld`
         if (
-            self._fast
-            and self._all_active
+            self._all_active
             and not self._addr_plan
             and buf.space == "global"
             and int(np.maximum.reduce(indices.view(_UINT32))) < buf.elements
@@ -949,7 +927,7 @@ class KernelContext:
         if self._addr_plan:
             indices = self._maybe_corrupt_address(op, indices, buf.dtype.bytes)
         mask = self._mask_stack[-1]
-        all_active = self._fast and self._all_active
+        all_active = self._all_active
         if buf.space == "shared":
             wrapped = np.mod(indices, buf.elements_per_block)
             flat = buf.data.reshape(buf.blocks, -1)
@@ -1085,31 +1063,25 @@ class KernelContext:
         if count < 0:
             raise SimulationError("loop count cannot be negative")
         step = max(1, unroll) if self.backend == "cuda10" else 1
-        # The counter register is dead the moment it is emitted (nothing
-        # reads it back; it only exists as an injectable/maskable site), so
-        # the fast path refills one shared lane array instead of allocating
-        # a fresh one per iteration.  Corruption of a stale counter is
-        # unobservable either way — outputs, trace, and RNG draws agree
-        # bit-for-bit with the allocating path.
-        shared_counter = None
-        if self._fast:
-            shared_counter = self._loop_counter
-            if shared_counter is None:
-                shared_counter = self._loop_counter = np.empty(
-                    self.num_lanes, dtype=np.int32
-                )
         for i in range(count):
             if i % step == 0:
-                if shared_counter is not None:
-                    shared_counter.fill(i)
-                    counter = self._new_val(shared_counter, DType.INT32)
-                else:
-                    counter = self._new_val(
-                        np.full(self.num_lanes, i, dtype=np.int32), DType.INT32
-                    )
-                self._emit(OpClass.IADD, counter)
+                self._emit(OpClass.IADD, self._loop_counter_val(i))
                 self._emit(OpClass.BRA, None)
             yield i
+
+    def _loop_counter_val(self, i: int) -> Val:
+        """Loop counter register for iteration ``i``.
+
+        The counter is dead the moment it is emitted (nothing reads it
+        back; it only exists as an injectable/maskable site), so every
+        iteration refills one shared lane array instead of allocating a
+        fresh one.  Corruption of a stale counter is unobservable.
+        """
+        shared = self._loop_counter
+        if shared is None:
+            shared = self._loop_counter = np.empty(self.num_lanes, dtype=np.int32)
+        shared.fill(i)
+        return self._new_val(shared, DType.INT32)
 
     # ------------------------------------------------------------------- host
     def read(self, val: Val) -> np.ndarray:

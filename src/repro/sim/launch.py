@@ -96,7 +96,7 @@ def run_kernel(
         outputs = kernel(ctx)
     if not isinstance(outputs, dict):
         raise ConfigurationError("kernels must return a dict of named outputs")
-    trace = ctx.trace  # flushes the fast path's batched accounting
+    trace = ctx.trace  # flushes the batched trace accounting
     count_run_telemetry(trace)
     return KernelRun(outputs=outputs, trace=trace, context=ctx)
 

@@ -55,7 +55,7 @@ import bisect
 import copy
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -67,7 +67,6 @@ from repro.arch.isa import OP_COUNT, OpClass
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.sim.context import _REGISTER_TABLE_CAP, KernelContext
 from repro.sim.exceptions import GpuDeviceException
-from repro.sim.fastpath import fast_path_enabled
 from repro.sim.injection import FiredRecord, InjectionMode, InjectionPlan, StorageStrike
 from repro.sim.launch import KernelRun, LaunchConfig, count_run_telemetry, run_kernel
 from repro.sim.memory import DeviceBuffer, SharedBuffer
@@ -167,14 +166,14 @@ class SimSnapshot:
     host_syncs: int
     active_lane_sum: float
     launched_lane_sum: float
-    #: flushed trace contents in insertion order (empty in fast mode)
+    #: flushed trace contents in insertion order (empty unless the kernel
+    #: read ``ctx.trace`` before this boundary)
     trace_instances: List[Tuple[OpClass, float]]
     trace_issues: List[Tuple[OpClass, float]]
-    # -- fast-path accumulators (None/0 when captured on the reference path)
-    fast: bool
-    inst_acc: Optional[List[float]]
-    issue_acc: Optional[List[float]]
-    touched: Optional[List[OpClass]]
+    # -- batched trace accumulators -------------------------------------------
+    inst_acc: List[float]
+    issue_acc: List[float]
+    touched: List[OpClass]
     act_acc: float
     launch_acc: float
     # -- sampling-stream cursors -------------------------------------------
@@ -209,7 +208,6 @@ class ReplayTape:
     #: snapshots in capture (= tick) order
     snapshots: List[SimSnapshot]
     final_tick: float
-    fast: bool
 
 
 # ----------------------------------------------------------------- recording
@@ -274,15 +272,10 @@ class RecordingContext(KernelContext):
 
         Golden forwarding *sets* these after serving a call — exact by
         construction, no re-accumulation — so the layout pairs with
-        :meth:`ReplayContext._fs_sync`.  Fields 7/8 hold the fast-path
-        activity accumulators when recording on the fast path, the trace's
-        lane sums otherwise (capture and replay always share the mode).
+        :meth:`ReplayContext._fs_sync`.  Fields 7/8 hold the batched
+        activity accumulators.
         """
         trace = self._trace
-        if self._fast:
-            act, launch = self._act_acc, self._launch_acc
-        else:
-            act, launch = trace.active_lane_sum, trace.launched_lane_sum
         return (
             self.tick,
             self._vreg_counter,
@@ -291,8 +284,8 @@ class RecordingContext(KernelContext):
             trace.barriers,
             trace.host_syncs,
             self._arith_since_deadcode,
-            act,
-            launch,
+            self._act_acc,
+            self._launch_acc,
         )
 
     def _rc_maybe_snapshot(self) -> None:
@@ -335,17 +328,9 @@ class RecordingContext(KernelContext):
         # Counter insertion relative to the vanilla once-per-run flush);
         # values are integral floats, so this sum is exact regardless
         cum_ops = {op: float(v) for op, v in trace.instances.items()}
-        if self._fast:
-            inst = self._inst_acc
-            for op in self._touched:
-                cum_ops[op] = cum_ops.get(op, 0.0) + inst[op.op_index]
-            inst_acc: Optional[List[float]] = list(self._inst_acc)
-            issue_acc: Optional[List[float]] = list(self._issue_acc)
-            touched: Optional[List[OpClass]] = list(self._touched)
-            act_acc, launch_acc = self._act_acc, self._launch_acc
-        else:
-            inst_acc = issue_acc = touched = None
-            act_acc = launch_acc = 0.0
+        inst = self._inst_acc
+        for op in self._touched:
+            cum_ops[op] = cum_ops.get(op, 0.0) + inst[op.op_index]
         return SimSnapshot(
             call_index=len(self._rc_calls),
             tick=self.tick,
@@ -362,12 +347,11 @@ class RecordingContext(KernelContext):
             launched_lane_sum=trace.launched_lane_sum,
             trace_instances=list(trace.instances.items()),
             trace_issues=list(trace.issues.items()),
-            fast=self._fast,
-            inst_acc=inst_acc,
-            issue_acc=issue_acc,
-            touched=touched,
-            act_acc=act_acc,
-            launch_acc=launch_acc,
+            inst_acc=list(self._inst_acc),
+            issue_acc=list(self._issue_acc),
+            touched=list(self._touched),
+            act_acc=self._act_acc,
+            launch_acc=self._launch_acc,
             cum_ops=cum_ops,
             cum_addr=self._rc_cum_addr,
         )
@@ -433,8 +417,8 @@ class RecordingContext(KernelContext):
         """Recording version of :meth:`KernelContext.range`.
 
         Replicates the base generator exactly (same emissions, same shared
-        loop-counter reuse on the fast path) while inserting a snapshot
-        opportunity and a ``__step__`` tape marker per bookkeeping step.
+        loop-counter reuse) while inserting a snapshot opportunity and a
+        ``__step__`` tape marker per bookkeeping step.
         """
         if count < 0:
             raise SimulationError("loop count cannot be negative")
@@ -444,19 +428,7 @@ class RecordingContext(KernelContext):
                 self._rc_maybe_snapshot()
                 log: List[tuple] = []
                 self._rc_log = log
-                if self._fast:
-                    shared = self._loop_counter
-                    if shared is None:
-                        shared = self._loop_counter = np.empty(
-                            self.num_lanes, dtype=np.int32
-                        )
-                    shared.fill(i)
-                    counter = self._new_val(shared, DType.INT32)
-                else:
-                    counter = self._new_val(
-                        np.full(self.num_lanes, i, dtype=np.int32), DType.INT32
-                    )
-                self._emit(OpClass.IADD, counter)
+                self._emit(OpClass.IADD, self._loop_counter_val(i))
                 self._emit(OpClass.BRA, None)
                 self._rc_log = None
                 self._rc_calls.append((_STEP, _RET_NONE, tuple(log), self._rc_state(), ()))
@@ -480,7 +452,6 @@ class RecordingContext(KernelContext):
             arrays=self._rc_arrays,
             snapshots=self._rc_snapshots,
             final_tick=self.tick,
-            fast=self._fast,
         )
 
 
@@ -551,8 +522,6 @@ class ReplayContext(KernelContext):
         self._fs_dirty_bufs: set = set()
         self._fs_mode = _FS_TRACKING
         super().__init__(*args, **kwargs)
-        if tape.fast != self._fast:
-            raise ReplayError("tape recorded with a different fast-path setting")
         self._rp_tape = tape
         self._rp_restore_at = restore_at
         self._rp_snapshot = snapshot
@@ -649,16 +618,15 @@ class ReplayContext(KernelContext):
         for op, value in snap.trace_instances:
             trace.instances[op] = value
         trace.issues = {op: value for op, value in snap.trace_issues}
-        if snap.fast:
-            self._inst_acc = list(snap.inst_acc)
-            self._issue_acc = list(snap.issue_acc)
-            self._touched = list(snap.touched)
-            flags = bytearray(OP_COUNT)
-            for op in self._touched:
-                flags[op.op_index] = 1
-            self._touched_flags = flags
-            self._act_acc = snap.act_acc
-            self._launch_acc = snap.launch_acc
+        self._inst_acc = list(snap.inst_acc)
+        self._issue_acc = list(snap.issue_acc)
+        self._touched = list(snap.touched)
+        flags = bytearray(OP_COUNT)
+        for op in self._touched:
+            flags[op.op_index] = 1
+        self._touched_flags = flags
+        self._act_acc = snap.act_acc
+        self._launch_acc = snap.launch_acc
         self._rp_arm()
         self._rp_live = True
         self._fs_check_ready()
@@ -807,20 +775,16 @@ class ReplayContext(KernelContext):
         trace = self._trace
         emits = entry[2]
         if emits:
-            if self._fast:
-                inst = self._inst_acc
-                issue_acc = self._issue_acc
-                flags = self._touched_flags
-                for op, n, issue, _ordinal, _weight in emits:
-                    index = op.op_index
-                    if not flags[index]:
-                        flags[index] = 1
-                        self._touched.append(op)
-                    inst[index] += n
-                    issue_acc[index] += issue
-            else:
-                for op, n, issue, _ordinal, _weight in emits:
-                    trace.record(op, n, issue)
+            inst = self._inst_acc
+            issue_acc = self._issue_acc
+            flags = self._touched_flags
+            for op, n, issue, _ordinal, _weight in emits:
+                index = op.op_index
+                if not flags[index]:
+                    flags[index] = 1
+                    self._touched.append(op)
+                inst[index] += n
+                issue_acc[index] += issue
         state = entry[3]
         self.tick = state[0]
         self._vreg_counter = state[1]
@@ -829,12 +793,8 @@ class ReplayContext(KernelContext):
         trace.barriers = state[4]
         trace.host_syncs = state[5]
         self._arith_since_deadcode = state[6]
-        if self._fast:
-            self._act_acc = state[7]
-            self._launch_acc = state[8]
-        else:
-            trace.active_lane_sum = state[7]
-            trace.launched_lane_sum = state[8]
+        self._act_acc = state[7]
+        self._launch_acc = state[8]
 
     # -- range: per-iteration mode check (the generator spans the crossover)
     def range(self, count: int, unroll: int = 1):
@@ -878,17 +838,7 @@ class ReplayContext(KernelContext):
 
     def _rp_step(self, i: int) -> None:
         """Live loop bookkeeping, identical to the base generator's body."""
-        if self._fast:
-            shared = self._loop_counter
-            if shared is None:
-                shared = self._loop_counter = np.empty(self.num_lanes, dtype=np.int32)
-            shared.fill(i)
-            counter = self._new_val(shared, DType.INT32)
-        else:
-            counter = self._new_val(
-                np.full(self.num_lanes, i, dtype=np.int32), DType.INT32
-            )
-        self._emit(OpClass.IADD, counter)
+        self._emit(OpClass.IADD, self._loop_counter_val(i))
         self._emit(OpClass.BRA, None)
 
 
@@ -1207,7 +1157,8 @@ class ReplaySession:
             # weights, and call entries carry argument specs (the batched
             # evaluator's site schedule); older payloads are re-captured
             "version": 3,
-            "fast": tape.fast,
+            # every tape is recorded with batched trace accounting
+            "fast": True,
             "final_tick": tape.final_tick,
             "expected_ticks": self._expected_ticks,
             "calls": tape.calls,
@@ -1225,7 +1176,9 @@ class ReplaySession:
         try:
             if not isinstance(payload, dict) or payload.get("version") != 3:
                 return False
-            if bool(payload["fast"]) != fast_path_enabled():
+            if payload["fast"] is not True:
+                # recorded by the per-emit simulator path, since removed: its
+                # snapshots carry no batched accumulators, so re-capture
                 return False
             tape = ReplayTape(
                 calls=payload["calls"],
@@ -1234,7 +1187,6 @@ class ReplaySession:
                 arrays=payload["arrays"],
                 snapshots=payload["snapshots"],
                 final_tick=float(payload["final_tick"]),
-                fast=bool(payload["fast"]),
             )
             for val in tape.newvals:
                 val.data.setflags(write=False)

@@ -2,13 +2,12 @@
 
 The :class:`~repro.faultsim.batch.BatchEvaluator` classifies most of a
 chunk's injections on the golden tape without executing anything; the
-contract (like replay's and the fast path's) is that nothing observable
-changes.  These tests pin it end to end: campaign records, DUE
-breakdowns, beam tallies/FITs and captured telemetry are bit-identical
-with batched evaluation on or off, replay on or off, serial or parallel,
-ECC on or off — and the batch path demonstrably resolves injections
-without falling through to per-injection execution (so the equivalence
-is not vacuous).
+contract (like replay's) is that nothing observable changes.  These tests
+pin it end to end: campaign records, DUE breakdowns, beam tallies/FITs
+and captured telemetry are bit-identical with batched evaluation on or
+off, replay on or off, serial or parallel, ECC on or off — and the batch
+path demonstrably resolves injections without falling through to
+per-injection execution (so the equivalence is not vacuous).
 
 The same ``span.*`` histogram exemption as the fast-path and replay
 suites applies — those record wall-clock seconds, the one thing a faster
@@ -19,7 +18,6 @@ import pytest
 
 from repro.api import ExecutionPolicy, get_workload, run_beam, run_campaign
 from repro.arch.ecc import EccMode
-from repro.sim.fastpath import fast_path
 from repro.store.codec import decode_results, encode_results
 from repro.telemetry import capture
 
@@ -80,28 +78,6 @@ class TestCampaignEquivalence:
             assert observed[0] == reference[0], mode
             assert observed[1] == reference[1], mode
             assert observed[2] == reference[2], mode
-
-    @pytest.mark.parametrize("enabled", [False, True])
-    def test_fast_path_modes_identical(self, enabled):
-        """Batched evaluation composes with both simulator paths."""
-
-        def observe(batch_eval):
-            workload = get_workload("kepler", "FMXM", seed=17)
-            with fast_path(enabled), capture() as registry:
-                result = run_campaign(
-                    workload,
-                    device="k40c",
-                    injections=16,
-                    seed=17,
-                    policy=_policy(batch_eval, True),
-                )
-            records = [
-                (r.outcome, r.group, r.op, r.bit, r.detail, r.due_cause)
-                for r in result.records
-            ]
-            return records, _observable(registry.snapshot())
-
-        assert observe(True) == observe(False)
 
 
 class TestBeamEquivalence:

@@ -25,7 +25,6 @@ from repro.exec.tasks import (
 )
 from repro.faultsim.campaign import CampaignRunner
 from repro.faultsim.frameworks import NvBitFi, Sassifi
-from repro.sim.fastpath import fast_path
 from repro.store.fingerprint import STORE_SALT, chunk_fingerprint, chunk_fingerprints
 from repro.workloads.registry import get_workload
 
@@ -161,7 +160,6 @@ def test_replay_session_descriptor_pin():
     # the key a campaign runner stores (and looks up) its replay tape under
     runner = CampaignRunner(KEPLER_K40C, NvBitFi(), seed=0)
     workload = get_workload("kepler", "FMXM", seed=0)
-    with fast_path(True):
-        assert runner._session_fingerprint(runner.campaign_context(workload), workload) == (
-            SESSION_PIN
-        )
+    assert runner._session_fingerprint(runner.campaign_context(workload), workload) == (
+        SESSION_PIN
+    )

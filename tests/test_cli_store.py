@@ -143,58 +143,66 @@ def test_bench_check_against_synthetic_baselines(tmp_path, capsys):
 
 
 def test_check_regression_enforces_baseline_declared_absolute_gates():
-    """The committed baseline declares two absolute gates: campaign
-    speedup >= 1.0 (when its campaign layer records one) and the batch
-    layer's target_injections_per_sec floor."""
+    """The committed baseline declares two absolute gates: the batch
+    layer's target_injections_per_sec floor and the service layer's
+    max_overhead ceiling against its own serial arm."""
     base = {
         "layers": {
-            "campaign": {"injections_per_sec": {"fast": 50.0}, "speedup": 1.3},
             "batch": {"injections_per_sec": {"fast": 15000.0},
                       "target_injections_per_sec": 13910.0},
+            "service": {"injections_per_sec": {"fast": 100.0, "reference": 100.0},
+                        "max_overhead": 0.1},
         }
     }
     good = {
         "layers": {
-            "campaign": {"injections_per_sec": {"fast": 50.0}, "speedup": 1.2},
             "batch": {"injections_per_sec": {"fast": 14000.0}},
+            "service": {"injections_per_sec": {"fast": 95.0, "reference": 100.0}},
         }
     }
     assert check_regression(good, base, 0.25) == []
-
-    slow_campaign = json.loads(json.dumps(good))
-    slow_campaign["layers"]["campaign"]["speedup"] = 0.97
-    regressions = check_regression(slow_campaign, base, 0.25)
-    assert any("campaign.speedup" in r for r in regressions)
 
     slow_batch = json.loads(json.dumps(good))
     slow_batch["layers"]["batch"]["injections_per_sec"]["fast"] = 9000.0
     regressions = check_regression(slow_batch, base, 0.25)
     assert any("absolute target" in r for r in regressions)
 
+    slow_service = json.loads(json.dumps(good))
+    slow_service["layers"]["service"]["injections_per_sec"]["reference"] = 120.0
+    regressions = check_regression(slow_service, base, 0.25)
+    assert any("service arm" in r and "ceiling" in r for r in regressions)
+
     # a baseline NOT declaring the gates (synthetic/smoke) never trips them
-    bare = {"layers": {"campaign": {"injections_per_sec": {"fast": 0.001}}}}
-    assert check_regression(slow_campaign, bare, 0.25) == []
+    bare = {"layers": {"batch": {"injections_per_sec": {"fast": 0.001}},
+                       "service": {"injections_per_sec": {"fast": 0.001}}}}
+    assert check_regression(slow_batch, bare, 0.25) == []
+    assert check_regression(slow_service, bare, 0.25) == []
 
 
 def test_committed_bench_baseline_has_all_layers_and_gates():
     """Smoke over the committed BENCH_simulator.json: every layer records
-    either a speedup or a bounded overhead, the batch layer is present
-    with its absolute floor met, the campaign fast path is not a
-    pessimization, and the service layer stays under its declared
+    a "fast" throughput for the tolerance gate; the single-arm layers
+    (sim, sass, campaign) record nothing else; the two-arm knob layers
+    record a speedup; the batch layer is present with its absolute floor
+    met, and the service layer stays under its declared
     coordination-overhead ceiling."""
     baseline_path = pathlib.Path(__file__).resolve().parents[1] / "BENCH_simulator.json"
     baseline = json.loads(baseline_path.read_text())
     layers = baseline["layers"]
     assert set(layers) >= {"sim", "sass", "campaign", "replay", "batch", "service"}
     for name, metrics in layers.items():
-        if "max_overhead" in metrics:
+        throughputs = [v for v in metrics.values() if isinstance(v, dict)]
+        assert throughputs and all(float(v["fast"]) > 0.0 for v in throughputs), name
+        if name in ("sim", "sass", "campaign"):
+            assert "speedup" not in metrics, name
+            assert all(set(v) == {"fast"} for v in throughputs), name
+        elif "max_overhead" in metrics:
             # overhead-style layer (the service): a cost with a ceiling,
             # not a speedup — the committed baseline must respect it
             assert float(metrics["overhead"]) <= float(metrics["max_overhead"])
         else:
             assert "speedup" in metrics, f"bench layer {name!r} records no speedup"
             assert float(metrics["speedup"]) > 0.0
-    assert float(layers["campaign"]["speedup"]) >= 1.0
     batch = layers["batch"]
     assert float(batch["injections_per_sec"]["fast"]) >= float(
         batch["target_injections_per_sec"]
