@@ -4,7 +4,10 @@ The paper's Figures 4 and 5 rest on injection campaigns and beam runs
 whose answers must not depend on how the simulator computes them.  Every
 cell of both figures is run here at a small size — seed 0, 8 injections
 per campaign, 6 mechanistic fault evaluations per beam exposure — plus
-the FMXM memory-AVF sweep on both compiler backends, and hashed.
+the FMXM memory-AVF sweep on both compiler backends, and hashed.  The two
+injectors Figure 4 does not use are pinned the same way on K40c: CAROL-FI
+on every Figure 4 Kepler code, and the uncore injector on every such code
+with ECC on and off.
 Figure 4's injectors corrupt instruction outputs, which ECC does not
 protect, so a campaign's ECC ON and OFF cells share a digest; both are
 kept so that ECC leaking into injector campaigns shows up here.
@@ -20,10 +23,12 @@ A cell's digest covers two documents:
   :func:`~repro.telemetry.capture` around the call (``span.*`` histograms
   record wall-clock seconds).
 
-The hex literals were produced identically by both simulator engines —
-the per-emit reference path with tree-walk SASS dispatch, and the batched
-fast path with compiled dispatch — so they are the oracle any rewrite of
-the simulator's hot paths is held to.  A pin may move only with an
+The Figure 4/5 and memory-AVF literals were produced identically by both
+simulator engines — the per-emit reference path with tree-walk SASS
+dispatch, and the batched fast path with compiled dispatch; the CAROL-FI
+and uncore literals by each injector's own injected-run code, before the
+engines shared one.  They are the oracle any rewrite of the simulator's
+hot paths or of the injected-run path is held to.  A pin may move only with an
 intended change of behaviour; re-derive it by printing
 ``cell_digest(cell)`` and say in the change why it moved.
 """
@@ -38,6 +43,8 @@ from repro.arch.devices import KEPLER_K40C
 from repro.arch.ecc import EccMode
 from repro.experiments.fig4 import FIG4_KEPLER, FIG4_VOLTA
 from repro.experiments.fig5 import FIG5_CODES
+from repro.faultsim.carolfi import CarolFi
+from repro.faultsim.uncore import UncoreInjector
 from repro.predict.model import measure_memory_avf
 from repro.store.codec import encode_results
 from repro.telemetry import capture
@@ -67,6 +74,10 @@ def _cells():
     for (arch, ecc), codes in FIG5_CODES.items():
         for code in codes:
             cells[f"fig5-{arch}-{code}-ecc-{ecc}"] = ("beam", arch, code, None, ecc)
+    for code in FIG4_KEPLER:
+        cells[f"carolfi-kepler-{code}"] = ("carolfi", "kepler", code, None, None)
+        for ecc in ("on", "off"):
+            cells[f"uncore-kepler-{code}-ecc-{ecc}"] = ("uncore", "kepler", code, None, ecc)
     for backend in ("cuda7", "cuda10"):
         cells[f"memavf-kepler-FMXM-{backend}"] = ("memavf", "kepler", "FMXM", backend, "off")
     return cells
@@ -88,6 +99,12 @@ def _run(cell):
             seed=SEED, ecc=_ECC[ecc],
         )
         return encode_results(result.records)
+    if kind == "carolfi":
+        result = CarolFi(KEPLER_K40C, seed=SEED).run(workload, INJECTIONS)
+        return encode_results(result.records)
+    if kind == "uncore":
+        injector = UncoreInjector(KEPLER_K40C, seed=SEED, ecc=_ECC[ecc])
+        return encode_results(injector.run(workload, INJECTIONS).records)
     if kind == "beam":
         result = run_beam(
             workload, device=arch, ecc=_ECC[ecc], beam_hours=BEAM_HOURS,
@@ -129,6 +146,26 @@ def cell_digest(cell) -> str:
 
 
 PINS = {
+    "carolfi-kepler-BFS":
+        "404727f37ba0e73640e482a500cc8e89db53c04c9b7c553483e178472e049cda",
+    "carolfi-kepler-CCL":
+        "5f25190be6c6656580a38629653454077b21924818df99fa018597806650b68d",
+    "carolfi-kepler-FGAUSSIAN":
+        "98dbbf730e805bf7ec7560c6deb41ae550ca738e9233ac921b0632b35a690480",
+    "carolfi-kepler-FHOTSPOT":
+        "66fff79e152209e185c543ddbfd1e3b704e16523ad8ff41ba88116393c159303",
+    "carolfi-kepler-FLAVA":
+        "52fdea9051c4d8b8487cc052afdad2f00c496db6268a8629fe9d614f01f715e3",
+    "carolfi-kepler-FLUD":
+        "54f00441317c1a469c42daa0984e5130f29a0f017e63a62cf0fce7d5841664f6",
+    "carolfi-kepler-FMXM":
+        "716814b60a337b4c7d44577b661282b87eff8dde2bca5996f3449c59ec18d16a",
+    "carolfi-kepler-MERGESORT":
+        "b02f4b0848cda4fed3bd7251701cc8d44b80bb031a7e7246ee63a81c0367a575",
+    "carolfi-kepler-NW":
+        "46661f44e2dd2991f69321aa806100b3f63de07c8540de5729ca953a0e32bb3c",
+    "carolfi-kepler-QUICKSORT":
+        "1ed1eefad976d549e4340395f85bee71231799775e2e794cfe81897690c11dbc",
     "fig4-kepler-BFS-nvbitfi-ecc-off":
         "94007e8040b37045dd0abdea705a1779f4846febf4bab7714698590c7b1c420f",
     "fig4-kepler-BFS-nvbitfi-ecc-on":
@@ -347,6 +384,46 @@ PINS = {
         "ef7edc16e91a15d2269b8ef5a5a364ca10194c293a718d09a68ab4ae0c479599",
     "memavf-kepler-FMXM-cuda7":
         "a7dad550bcdc93f57e92824b28d2607860d54895dd23f3f53887575b86bc0eac",
+    "uncore-kepler-BFS-ecc-off":
+        "a1929781958a1dd5db3bda23331c1a714b4d4ee98b9766608d246c5f6c908054",
+    "uncore-kepler-BFS-ecc-on":
+        "a1929781958a1dd5db3bda23331c1a714b4d4ee98b9766608d246c5f6c908054",
+    "uncore-kepler-CCL-ecc-off":
+        "a12bbc41f916f2329e2e27126b7cac06fb957f7c59cae210792a27d1a288f1fd",
+    "uncore-kepler-CCL-ecc-on":
+        "a12bbc41f916f2329e2e27126b7cac06fb957f7c59cae210792a27d1a288f1fd",
+    "uncore-kepler-FGAUSSIAN-ecc-off":
+        "390065020653bf82ad0915662195cd317e8283475cf2528e633c3f88c01cb0aa",
+    "uncore-kepler-FGAUSSIAN-ecc-on":
+        "390065020653bf82ad0915662195cd317e8283475cf2528e633c3f88c01cb0aa",
+    "uncore-kepler-FHOTSPOT-ecc-off":
+        "e2f0fa65c5866cb5a12394cde8d8b6bbaae8ed3e4ff520af9dafe937b89a7731",
+    "uncore-kepler-FHOTSPOT-ecc-on":
+        "e2f0fa65c5866cb5a12394cde8d8b6bbaae8ed3e4ff520af9dafe937b89a7731",
+    "uncore-kepler-FLAVA-ecc-off":
+        "b37b081769bbd8ffd4a3f5436051735643a9a042472dce4bd7b791d8b1938068",
+    "uncore-kepler-FLAVA-ecc-on":
+        "b37b081769bbd8ffd4a3f5436051735643a9a042472dce4bd7b791d8b1938068",
+    "uncore-kepler-FLUD-ecc-off":
+        "605faef3d772cda7a239b4123d36862b4268d3657b8b4e7bfd059ba98481823e",
+    "uncore-kepler-FLUD-ecc-on":
+        "605faef3d772cda7a239b4123d36862b4268d3657b8b4e7bfd059ba98481823e",
+    "uncore-kepler-FMXM-ecc-off":
+        "fd20704999c01096cdf79da6bb681199fe9abedf0117233f2295f0e0e795b977",
+    "uncore-kepler-FMXM-ecc-on":
+        "fd20704999c01096cdf79da6bb681199fe9abedf0117233f2295f0e0e795b977",
+    "uncore-kepler-MERGESORT-ecc-off":
+        "4ca9c22bb673e81571ecf37113e2682e8338e0b2a18e177e2c463cf7bfb25854",
+    "uncore-kepler-MERGESORT-ecc-on":
+        "4ca9c22bb673e81571ecf37113e2682e8338e0b2a18e177e2c463cf7bfb25854",
+    "uncore-kepler-NW-ecc-off":
+        "db0fff94e41fa38b2c2fc8cd91810cde3d1b9425e51f6b788e8b1510f9cebbb6",
+    "uncore-kepler-NW-ecc-on":
+        "db0fff94e41fa38b2c2fc8cd91810cde3d1b9425e51f6b788e8b1510f9cebbb6",
+    "uncore-kepler-QUICKSORT-ecc-off":
+        "2cbebe9ab0b49a6b62aad6b3079b3bda1447e6e8df4bccb7cfcbaf7b205ae707",
+    "uncore-kepler-QUICKSORT-ecc-on":
+        "2cbebe9ab0b49a6b62aad6b3079b3bda1447e6e8df4bccb7cfcbaf7b205ae707",
 }
 
 
