@@ -1,11 +1,12 @@
 """Beam outcome engine: classify one sampled particle strike.
 
 Faults in *architecturally visible* resources are evaluated mechanistically
-— the fault is injected into a re-execution of the workload, using exactly
-the machinery the injectors use, and the run's outcome is observed.  Faults
-in *storage under ECC* short-circuit analytically (corrected, or a detected
-uncorrectable → DUE), and faults in *hidden* resources draw from the
-catalog's outcome mixtures (the one modeled element; see DESIGN.md §5.4).
+— the fault is injected into a re-execution of the workload through the
+injectors' own :class:`~repro.faultsim.target.InjectionTarget`, and the
+run's outcome is observed.  Faults in *storage under ECC* short-circuit
+analytically (corrected, or a detected uncorrectable → DUE), and faults in
+*hidden* resources draw from the catalog's outcome mixtures (the one
+modeled element; see DESIGN.md §5.4).
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from repro.arch.units import UnitKind
 from repro.beam.cross_sections import CrossSectionCatalog
 from repro.common.errors import ConfigurationError
 from repro.faultsim.outcomes import Outcome, StrikeEval
-from repro.faultsim.sandbox import WATCHDOG_FACTOR, InjectionSandbox
+from repro.faultsim.target import InjectionTarget
 from repro.faultsim.uncore import UNCORE_EXCEPTIONS
-from repro.sim.exceptions import ContainedCrashError, EccDoubleBitError, GpuDeviceException
+from repro.sim.exceptions import EccDoubleBitError
 from repro.sim.injection import (
     FaultModel,
     InjectionMode,
@@ -31,17 +32,15 @@ from repro.sim.injection import (
     StorageStrike,
     opclass_stream,
 )
-from repro.sim.launch import KernelRun, run_kernel
-from repro.sim.replay import ReplaySession
-from repro.telemetry import get_logger, get_telemetry
-from repro.workloads.base import CompareResult, Workload
-
-_log = get_logger("beam.engine")
+from repro.sim.launch import KernelRun
+from repro.store.policy import ExecutionPolicy
+from repro.telemetry import get_telemetry
+from repro.workloads.base import Workload
 
 _ADDRESSABLE = (OpClass.LDG, OpClass.STG, OpClass.LDS, OpClass.STS)
 
 #: telemetry keys precomputed over the closed (kind, outcome) space —
-#: ``evaluate`` runs once per sampled strike, so no f-strings there;
+#: ``evaluate_detailed`` runs once per sampled strike, so no f-strings there;
 #: DUE causes are an open set, memoized on first sight
 _EVAL_KEYS = {kind: f"beam.eval.{kind}" for kind in ("op", "mem", "hidden")}
 _OUTCOME_KEYS = {
@@ -62,9 +61,8 @@ class BeamEngine:
         catalog: CrossSectionCatalog,
         ecc: EccMode,
         backend: str = "cuda10",
-        on_crash: str = "due",
-        replay: bool = True,
-        snapshots_per_run: int = 16,
+        *,
+        policy: Optional[ExecutionPolicy] = None,
     ) -> None:
         self.device = device
         self.workload = workload
@@ -72,82 +70,13 @@ class BeamEngine:
         self.ecc = ecc
         self.backend = backend
         self.secded = SecdedModel(mode=ecc)
-        self.sandbox = InjectionSandbox(on_crash)
-        self.replay_enabled = replay
-        self.snapshots_per_run = snapshots_per_run
-        self._golden: Optional[KernelRun] = None
-        self._session: Optional[ReplaySession] = None
+        #: the mechanistic re-executions: sandboxed like the injection
+        #: campaigns (the beam supervisor never dies with the DUT)
+        self.target = InjectionTarget(device, workload, ecc, backend, policy)
 
     @property
     def golden(self) -> KernelRun:
-        if self._golden is None:
-            _log.debug(
-                "computing golden run: %s on %s (ecc=%s)",
-                self.workload.name, self.device.name, self.ecc.value,
-            )
-            self._golden = run_kernel(
-                self.device,
-                self.workload.kernel,
-                self.workload.sim_launch(),
-                ecc=self.ecc,
-                backend=self.backend,
-            )
-        return self._golden
-
-    # -- shared plumbing ----------------------------------------------------------
-    def _replay_session(self) -> ReplaySession:
-        if self._session is None:
-            golden = self.golden
-            self._session = ReplaySession(
-                self.device,
-                self.workload.kernel,
-                self.workload.sim_launch(),
-                ecc=self.ecc,
-                backend=self.backend,
-                snapshots_per_run=self.snapshots_per_run,
-                expected_ticks=golden.ticks,
-            )
-        return self._session
-
-    def _run_with(self, plan=None, strikes=()) -> StrikeEval:
-        golden = self.golden
-        try:
-            # sandboxed like the injection campaigns: an unexpected crash in
-            # a mechanistic re-execution is contained per on_crash instead
-            # of killing the worker (the beam supervisor never dies with
-            # the DUT)
-            if self.replay_enabled:
-                # fork from the nearest snapshot below the fault site and
-                # run only the suffix (bit-identical; vanilla fallback is
-                # the session's own responsibility)
-                run = self.sandbox.run(
-                    self._replay_session().run,
-                    plan=plan,
-                    strikes=strikes,
-                    watchdog_limit=WATCHDOG_FACTOR * golden.ticks,
-                )
-            else:
-                run = self.sandbox.run(
-                    run_kernel,
-                    self.device,
-                    self.workload.kernel,
-                    self.workload.sim_launch(),
-                    ecc=self.ecc,
-                    backend=self.backend,
-                    plan=plan,
-                    strikes=strikes,
-                    watchdog_limit=WATCHDOG_FACTOR * golden.ticks,
-                )
-        except GpuDeviceException as exc:
-            return StrikeEval(
-                outcome=Outcome.DUE,
-                due_cause=exc.cause,
-                contained=isinstance(exc, ContainedCrashError),
-            )
-        compare = self.workload.compare(golden.outputs, run.outputs)
-        if compare is CompareResult.SDC:
-            return StrikeEval(outcome=Outcome.SDC)
-        return StrikeEval(outcome=Outcome.MASKED)
+        return self.target.golden
 
     # -- strike evaluators ------------------------------------------------------------
     def op_fault_eval(self, op: OpClass, rng: np.random.Generator) -> StrikeEval:
@@ -166,7 +95,7 @@ class BeamEngine:
             fault_model=FaultModel.SINGLE_BIT,
             rng=rng,
         )
-        return self._run_with(plan=plan)
+        return self.target.inject(plan)
 
     def storage_fault_eval(self, unit: UnitKind, rng: np.random.Generator) -> StrikeEval:
         """A strike on a storage bit (RF / shared / device memory)."""
@@ -187,7 +116,7 @@ class BeamEngine:
         }[unit]
         tick = float(rng.integers(0, max(1, int(self.golden.ticks))))
         strike = StorageStrike(tick=tick, space=space, rng=rng)
-        return self._run_with(strikes=(strike,))
+        return self.target.inject(strikes=(strike,))
 
     def hidden_fault_eval(self, unit: UnitKind, rng: np.random.Generator) -> StrikeEval:
         """A strike on a resource no injector can reach: outcome mixture.
@@ -206,16 +135,6 @@ class BeamEngine:
         if draw < model.p_due + model.p_sdc:
             return StrikeEval(outcome=Outcome.SDC)
         return StrikeEval(outcome=Outcome.MASKED)
-
-    # back-compat wrappers: the Outcome-only views of the evaluators above
-    def evaluate_op_fault(self, op: OpClass, rng: np.random.Generator) -> Outcome:
-        return self.op_fault_eval(op, rng).outcome
-
-    def evaluate_storage_fault(self, unit: UnitKind, rng: np.random.Generator) -> Outcome:
-        return self.storage_fault_eval(unit, rng).outcome
-
-    def evaluate_hidden_fault(self, unit: UnitKind, rng: np.random.Generator) -> Outcome:
-        return self.hidden_fault_eval(unit, rng).outcome
 
     # -- resource dispatch ----------------------------------------------------------------
     def evaluate_detailed(self, resource: str, rng: np.random.Generator) -> StrikeEval:
@@ -244,7 +163,3 @@ class BeamEngine:
                 )
             telemetry.count(cause_key)
         return evaluation
-
-    def evaluate(self, resource: str, rng: np.random.Generator) -> Outcome:
-        """Outcome-only view of :meth:`evaluate_detailed`."""
-        return self.evaluate_detailed(resource, rng).outcome

@@ -154,16 +154,10 @@ class BeamExperiment:
         self.executor = get_executor(workers, executor)
         #: None: no store and no retries; the execution knobs take their defaults
         self.policy = policy
-        knobs = policy or ExecutionPolicy()
-        self.on_crash = knobs.on_crash
-        self.replay_enabled = knobs.replay
-        self.snapshots_per_run = knobs.snapshots_per_run
+        self.knobs = policy or ExecutionPolicy()
 
     def exposure(self, workload: Workload, ecc: EccMode) -> Tuple[BeamEngine, ExposureProfile]:
-        engine = BeamEngine(
-            self.device, workload, self.catalog, ecc, on_crash=self.on_crash,
-            replay=self.replay_enabled, snapshots_per_run=self.snapshots_per_run,
-        )
+        engine = BeamEngine(self.device, workload, self.catalog, ecc, policy=self.policy)
         profile = compute_exposure(self.device, workload, engine.golden, self.catalog)
         return engine, profile
 
@@ -229,9 +223,9 @@ class BeamExperiment:
             catalog=self.catalog,
             catalog_tag=catalog_tag(self.catalog, self.device),
             workload=WorkloadHandle.wrap(workload),
-            on_crash=self.on_crash,
-            replay=self.replay_enabled,
-            snapshots_per_run=self.snapshots_per_run,
+            on_crash=self.knobs.on_crash,
+            replay=self.knobs.replay,
+            snapshots_per_run=self.knobs.snapshots_per_run,
         )
         # reuse this experiment's engine (golden already computed for the
         # exposure profile) in the serial path and fork-spawned children

@@ -24,7 +24,7 @@ both modes).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Sequence
 
 from repro.common.rng import RngFactory
 from repro.exec.tasks import (
@@ -99,23 +99,11 @@ def run_injection_chunk(ctx: CampaignContext, tasks: Sequence[InjectionTask]) ->
         runner, workload, groups = _campaign_state(ctx)
     factories = _rng_factories(tasks)
     with capture() as registry:
-        if getattr(runner, "replay_enabled", False):
-            # batched path: same group-sorted evaluation order inside, plus
-            # chunk-level snapshot mining and one vectorized output compare
-            rngs = [factories[t.root_seed].stream(*t.rng_path) for t in tasks]
-            records: List[Any] = runner.inject_batch(workload, groups, list(tasks), rngs)
-        else:
-            # Evaluate grouped by injection site group (better locality: the
-            # same site machinery stays hot), but ship records in submission
-            # order so the chunk result is position-identical to the naive loop.
-            order = sorted(range(len(tasks)), key=lambda j: (tasks[j].group, j))
-            records = [None] * len(tasks)
-            for j in order:
-                task = tasks[j]
-                rng = factories[task.root_seed].stream(*task.rng_path)
-                records[j] = runner.inject_once(
-                    workload, groups[task.group], task.target_index, rng
-                )
+        # evaluated in group-sorted order (the same site machinery stays
+        # hot), shipped in submission order; with replay on, also tape
+        # classification, snapshot mining and one vectorized output compare
+        rngs = [factories[t.root_seed].stream(*t.rng_path) for t in tasks]
+        records = runner.inject_batch(workload, groups, list(tasks), rngs)
     return ChunkResult(records, registry.snapshot())
 
 
@@ -125,6 +113,7 @@ def run_injection_chunk(ctx: CampaignContext, tasks: Sequence[InjectionTask]) ->
 def _beam_state(ctx: BeamEvalContext):
     from repro.arch.ecc import EccMode
     from repro.beam.engine import BeamEngine
+    from repro.store.policy import ExecutionPolicy
 
     def build():
         engine = BeamEngine(
@@ -133,9 +122,11 @@ def _beam_state(ctx: BeamEvalContext):
             ctx.catalog,
             EccMode(ctx.ecc),
             backend=ctx.backend,
-            on_crash=ctx.on_crash,
-            replay=ctx.replay,
-            snapshots_per_run=ctx.snapshots_per_run,
+            policy=ExecutionPolicy(
+                on_crash=ctx.on_crash,
+                replay=ctx.replay,
+                snapshots_per_run=ctx.snapshots_per_run,
+            ),
         )
         engine.golden  # materialize before any capture window
         return engine
@@ -159,60 +150,45 @@ def run_beam_chunk(ctx: BeamEvalContext, tasks: Sequence[BeamEvalTask]) -> Chunk
 # -- memory-AVF storage strikes ----------------------------------------------------
 
 
-def _memory_avf_state(ctx: MemoryAvfContext) -> Tuple:
+def memory_avf_target(ctx: MemoryAvfContext) -> "InjectionTarget":
+    """The injection target of a memory-AVF sweep: ECC OFF strikes, run on
+    the vanilla path."""
     from repro.arch.ecc import EccMode
-    from repro.sim.launch import run_kernel
+    from repro.faultsim.target import InjectionTarget
+    from repro.store.policy import ExecutionPolicy
 
+    return InjectionTarget(
+        ctx.device,
+        ctx.workload.workload,
+        EccMode.OFF,
+        ctx.backend,
+        ExecutionPolicy(on_crash=ctx.on_crash, replay=False),
+    )
+
+
+def _memory_avf_state(ctx: MemoryAvfContext):
     def build():
-        workload = ctx.workload.workload
-        golden = run_kernel(
-            ctx.device,
-            workload.kernel,
-            workload.sim_launch(),
-            ecc=EccMode.OFF,
-            backend=ctx.backend,
-        )
-        return workload, golden
+        target = memory_avf_target(ctx)
+        target.golden  # materialize before any capture window
+        return target
 
     return _cached_state(ctx.cache_key(), build)
 
 
 def run_strike_chunk(ctx: MemoryAvfContext, tasks: Sequence[StrikeTask]) -> ChunkResult:
     """Evaluate a chunk of ECC-OFF storage strikes; returns Outcomes."""
-    from repro.arch.ecc import EccMode
-    from repro.faultsim.outcomes import Outcome
-    from repro.faultsim.sandbox import WATCHDOG_FACTOR, InjectionSandbox
-    from repro.sim.exceptions import GpuDeviceException
     from repro.sim.injection import StorageStrike
-    from repro.sim.launch import run_kernel
-    from repro.workloads.base import CompareResult
 
     with capture():  # state rebuild must not pollute the shipped snapshot
-        workload, golden = _memory_avf_state(ctx)
+        target = _memory_avf_state(ctx)
     factories = _rng_factories(tasks)
-    sandbox = InjectionSandbox(ctx.on_crash)
     outcomes = []
     with capture() as registry:
         telemetry = get_telemetry()
         for task in tasks:
             rng = factories[task.root_seed].stream(*task.rng_path)
             strike = StorageStrike(tick=task.tick, space=task.space, rng=rng)
-            try:
-                run = sandbox.run(
-                    run_kernel,
-                    ctx.device,
-                    workload.kernel,
-                    workload.sim_launch(),
-                    ecc=EccMode.OFF,
-                    backend=ctx.backend,
-                    strikes=(strike,),
-                    watchdog_limit=WATCHDOG_FACTOR * golden.ticks,
-                )
-            except GpuDeviceException:
-                outcome = Outcome.DUE
-            else:
-                compare = workload.compare(golden.outputs, run.outputs)
-                outcome = Outcome.SDC if compare is CompareResult.SDC else Outcome.MASKED
+            outcome = target.inject(strikes=(strike,)).outcome
             telemetry.count("mem_avf.strikes")
             key = _MEM_AVF_OUTCOME_KEYS.get(outcome)
             if key is None:

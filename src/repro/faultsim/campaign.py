@@ -8,9 +8,12 @@ output with the workload's comparison rule:
 * output differs             → **SDC**,
 * otherwise                  → **Masked**.
 
-Runs exceeding ``WATCHDOG_FACTOR ×`` the golden instruction count are hung
+Runs exceeding a fixed multiple of the golden instruction count are hung
 and killed by the simulated watchdog (→ DUE), like a real campaign's
-timeout supervisor.
+timeout supervisor.  The golden run, replay, sandbox, watchdog and verdict
+are the shared :class:`~repro.faultsim.target.InjectionTarget`; the runner
+keeps its fault sampling, the ECC-ON register-file shortcut, the batch
+tier and the batched output comparison.
 
 Campaigns are dispatched through :mod:`repro.exec`: the runner samples
 every fault site up front (one parent RNG stream), then fans the
@@ -22,6 +25,7 @@ and the injection ordinal, so results are bit-identical for any
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -36,12 +40,10 @@ from repro.exec.engine import Executor, get_executor
 from repro.exec.tasks import CampaignContext, InjectionTask, WorkloadHandle
 from repro.exec.worker import _cached_state, run_injection_chunk
 from repro.faultsim.frameworks import InjectorFramework, SiteGroup
-from repro.faultsim.outcomes import CampaignResult, InjectionRecord, Outcome
-from repro.faultsim.sandbox import WATCHDOG_FACTOR, InjectionSandbox, SandboxLimits
-from repro.sim.exceptions import ContainedCrashError, GpuDeviceException
-from repro.faultsim.batch import BatchEvaluator
+from repro.faultsim.outcomes import CampaignResult, InjectionRecord, Outcome, StrikeEval
+from repro.faultsim.target import InjectionTarget, outcome_of
 from repro.sim.injection import InjectionMode, InjectionPlan, StorageStrike
-from repro.sim.launch import KernelRun, count_run_telemetry, run_kernel
+from repro.sim.launch import KernelRun, count_run_telemetry
 from repro.sim.replay import ReplaySession
 from repro.store.backends import DONE, ChunkRecord
 from repro.store.codec import decode_results, encode_results
@@ -95,6 +97,18 @@ def _batched_compare(
     return verdicts
 
 
+def _count(records) -> None:
+    """The per-injection telemetry trio: total, outcome, site group."""
+    telemetry = get_telemetry()
+    for record in records:
+        telemetry.count("campaign.injections")
+        telemetry.count(_OUTCOME_KEYS[record.outcome])
+        group_key = _GROUP_KEYS.get(record.group)
+        if group_key is None:
+            group_key = _GROUP_KEYS[record.group] = f"campaign.group.{record.group}"
+        telemetry.count(group_key)
+
+
 class CampaignRunner:
     """Runs fault-injection campaigns for one (device, framework) pair."""
 
@@ -108,7 +122,6 @@ class CampaignRunner:
         workers: int = 1,
         executor: Optional[Executor] = None,
         policy: Optional[ExecutionPolicy] = None,
-        sandbox_limits: Optional[SandboxLimits] = None,
     ) -> None:
         self.device = device
         self.framework = framework
@@ -117,64 +130,44 @@ class CampaignRunner:
         self.executor = get_executor(workers, executor)
         #: None: no store and no retries; the execution knobs take their defaults
         self.policy = policy
-        knobs = policy or ExecutionPolicy()
-        self.on_crash = knobs.on_crash
-        self.sandbox = InjectionSandbox(self.on_crash, limits=sandbox_limits)
-        self.replay_enabled = knobs.replay
-        self.snapshots_per_run = knobs.snapshots_per_run
-        self.batch_eval = knobs.batch_eval
-        self._golden: Dict[str, KernelRun] = {}
-        self._sessions: Dict[str, ReplaySession] = {}
-        self._batch_evaluators: Dict[str, BatchEvaluator] = {}
+        self.knobs = policy or ExecutionPolicy()
+        #: one injection target per workload name
+        self._targets: Dict[str, InjectionTarget] = {}
         self._secded = SecdedModel(mode=ecc)
         #: the process that owns the policy's store handle: a pool worker
         #: forked with this runner in its state cache must not read through
         #: the inherited handle (a SQLite connection does not survive fork)
         self._store_pid = os.getpid()
 
-    # -- golden ---------------------------------------------------------------
-    def golden(self, workload: Workload) -> KernelRun:
-        if workload.name not in self._golden:
-            self._golden[workload.name] = run_kernel(
-                self.device,
-                workload.kernel,
-                workload.sim_launch(),
-                ecc=self.ecc,
-                backend=self.framework.backend,
-            )
-        return self._golden[workload.name]
+    # -- injection targets ------------------------------------------------------
+    def _target(self, workload: Workload) -> InjectionTarget:
+        """The workload's injection target.
 
-    # -- checkpoint/replay ------------------------------------------------------
-    def _session(self, workload: Workload) -> ReplaySession:
-        """The workload's replay session.
-
-        Created on first use and seeded then from the tape a previous run
-        stored.  A serial run first uses it when some chunk actually
-        evaluates, so a fully warm serial campaign never loads (or
+        Its replay session is seeded, when first created, from the tape a
+        previous run stored.  A serial run first creates it when some chunk
+        actually evaluates, so a fully warm serial campaign never loads (or
         unpickles) a tape; a parallel run creates it before dispatch."""
-        session = self._sessions.get(workload.name)
-        if session is None:
-            golden = self.golden(workload)
-            session = ReplaySession(
+        target = self._targets.get(workload.name)
+        if target is None:
+            target = self._targets[workload.name] = InjectionTarget(
                 self.device,
-                workload.kernel,
-                workload.sim_launch(),
-                ecc=self.ecc,
-                backend=self.framework.backend,
-                snapshots_per_run=self.snapshots_per_run,
-                expected_ticks=golden.ticks,
+                workload,
+                self.ecc,
+                self.framework.backend,
+                self.knobs,
+                # no reference back to the runner: one the worker state
+                # cache evicts is freed at once, golden run and all
+                on_session=functools.partial(
+                    self._load_session_state,
+                    self.policy,
+                    self._store_pid,
+                    self.campaign_context(workload),
+                ),
             )
-            self._sessions[workload.name] = session
-            self._load_session_state(workload, session)
-        return session
+        return target
 
-    def _batch_evaluator(self, workload: Workload) -> BatchEvaluator:
-        """The workload's batched evaluator over its session's tape."""
-        evaluator = self._batch_evaluators.get(workload.name)
-        if evaluator is None:
-            evaluator = BatchEvaluator(self.golden(workload), self._session(workload))
-            self._batch_evaluators[workload.name] = evaluator
-        return evaluator
+    def golden(self, workload: Workload) -> KernelRun:
+        return self._target(workload).golden
 
     # -- one injection -----------------------------------------------------------
     def inject_once(
@@ -185,13 +178,7 @@ class CampaignRunner:
         rng: np.random.Generator,
     ) -> InjectionRecord:
         record = self._inject_once(workload, group, target_index, rng)
-        telemetry = get_telemetry()
-        telemetry.count("campaign.injections")
-        telemetry.count(_OUTCOME_KEYS[record.outcome])
-        group_key = _GROUP_KEYS.get(record.group)
-        if group_key is None:
-            group_key = _GROUP_KEYS[record.group] = f"campaign.group.{record.group}"
-        telemetry.count(group_key)
+        _count((record,))
         return record
 
     def _inject_once(
@@ -204,8 +191,7 @@ class CampaignRunner:
         record, outputs, plan = self._attempt(workload, group, target_index, rng)
         if record is not None:
             return record
-        golden = self.golden(workload)
-        compare = workload.compare(golden.outputs, outputs)
+        compare = workload.compare(self.golden(workload).outputs, outputs)
         return self._classify(group, plan, compare)
 
     def _attempt(
@@ -221,18 +207,16 @@ class CampaignRunner:
         ends without outputs to compare (DUE, or the analytic ECC-ON RF
         shortcut), else ``None`` plus the surviving run's outputs.
         """
-        golden = self.golden(workload)
-        watchdog = WATCHDOG_FACTOR * golden.ticks
-
+        target = self._target(workload)
         plan = None
         strikes: Sequence[StorageStrike] = ()
         if group.mode is InjectionMode.REGISTER_FILE:
-            if self.replay_enabled and self.ecc is EccMode.ON:
+            if self.knobs.replay and self.ecc is EccMode.ON:
                 # Analytic shortcut: an ECC-ON RF strike never needs a
                 # re-execution.  SECDED either corrects the flip (the run is
                 # then the golden run, bit for bit) or detects a double-bit
                 # upset and kills the context before any output exists.
-                return self._analytic_rf_strike(golden, group, target_index, rng), None, None
+                return self._analytic_rf_strike(target.golden, group, target_index, rng), None, None
             strikes = (StorageStrike(tick=float(target_index), space="rf", rng=rng),)
         else:
             plan = InjectionPlan(
@@ -242,43 +226,18 @@ class CampaignRunner:
                 fault_model=group.fault_model,
                 rng=rng,
             )
-        try:
-            # the sandbox wraps ONLY the injected execution: a contained
-            # crash arrives here as a GpuDeviceException (on_crash="due"),
-            # propagates as InjectionCrashError (on_crash="quarantine"),
-            # or unchanged (on_crash="raise"); the plan-never-fired check
-            # below stays outside — it is a campaign setup bug, not a run
-            if self.replay_enabled:
-                # fork from the nearest snapshot below the fault site and
-                # execute only the post-fault suffix (bit-identical to the
-                # full run; ReplaySession falls back to vanilla on its own)
-                run = self.sandbox.run(
-                    self._session(workload).run,
-                    plan=plan,
-                    strikes=strikes,
-                    watchdog_limit=watchdog,
-                )
-            else:
-                run = self.sandbox.run(
-                    run_kernel,
-                    self.device,
-                    workload.kernel,
-                    workload.sim_launch(),
-                    ecc=self.ecc,
-                    backend=self.framework.backend,
-                    plan=plan,
-                    strikes=strikes,
-                    watchdog_limit=watchdog,
-                )
-        except GpuDeviceException as exc:
+        run = target.execute(plan, strikes)
+        if isinstance(run, StrikeEval):
             return InjectionRecord(
                 group=group.name,
                 outcome=Outcome.DUE,
                 op=plan.record.op if plan else None,
                 bit=plan.record.bit if plan else -1,
-                due_cause=exc.cause,
-                contained=isinstance(exc, ContainedCrashError),
+                due_cause=run.due_cause,
+                contained=run.contained,
             ), None, None
+        # outside the sandbox: a plan that never fired is a campaign setup
+        # bug, not an outcome of the run
         if plan is not None and not plan.fired:
             raise InjectionError(
                 f"{workload.name}: plan targeting index {target_index} in group "
@@ -292,10 +251,9 @@ class CampaignRunner:
         plan: Optional[InjectionPlan],
         compare: CompareResult,
     ) -> InjectionRecord:
-        outcome = Outcome.SDC if compare is CompareResult.SDC else Outcome.MASKED
         return InjectionRecord(
             group=group.name,
-            outcome=outcome,
+            outcome=outcome_of(compare),
             op=plan.record.op if plan else None,
             bit=plan.record.bit if plan else -1,
             detail=plan.record.detail if plan else "rf_strike",
@@ -325,7 +283,7 @@ class CampaignRunner:
             )
         if self._secded.strike(rng) is EccOutcome.DETECTED_DUE:
             # context killed mid-run: no outputs, no post-run telemetry
-            # (matches the EccDoubleBitError path through run_kernel)
+            # (matches the EccDoubleBitError path through a re-execution)
             return InjectionRecord(
                 group=group.name, outcome=Outcome.DUE, op=None, bit=-1,
                 due_cause="ecc_dbe", contained=False,
@@ -358,13 +316,14 @@ class CampaignRunner:
         hot ticks), and output comparison for surviving runs is one
         vectorized numpy pass instead of N scalar ones.
         """
-        golden = self.golden(workload)
+        target = self._target(workload)
+        golden = target.golden
         order = sorted(range(len(tasks)), key=lambda j: (tasks[j].group, j))
         records: List[Optional[InjectionRecord]] = [None] * len(tasks)
         pending: List[tuple] = []
         batched_compare = type(workload).compare is Workload.compare
-        if self.replay_enabled and self.batch_eval and batched_compare:
-            validation = self._batch_evaluator(workload).classify(
+        if self.knobs.replay and self.knobs.batch_eval and batched_compare:
+            validation = target.batch_evaluator().classify(
                 groups, tasks, rngs, records
             )
             if validation is not None:
@@ -373,19 +332,14 @@ class CampaignRunner:
                 # chunk's tape verdicts against the actual record
                 j = validation.canary
                 task = tasks[j]
-                group = groups[task.group]
-                record, outputs, plan = self._attempt(
-                    workload, group, task.target_index, rngs[j]
+                records[j] = self._inject_once(
+                    workload, groups[task.group], task.target_index, rngs[j]
                 )
-                if record is None:
-                    compare = workload.compare(golden.outputs, outputs)
-                    record = self._classify(group, plan, compare)
-                records[j] = record
-                validation.resolve(record, records)
-        if self.replay_enabled:
+                validation.resolve(records[j], records)
+        if self.knobs.replay:
             residual = [tasks[j] for j in range(len(tasks)) if records[j] is None]
             if residual:
-                self._mine_fault_ticks(workload, groups, residual, golden)
+                self._mine_fault_ticks(target, groups, residual)
         for j in order:
             if records[j] is not None:
                 continue
@@ -405,28 +359,20 @@ class CampaignRunner:
             verdicts = _batched_compare(golden.outputs, [p[3] for p in pending])
             for (j, group, plan, _), compare in zip(pending, verdicts):
                 records[j] = self._classify(group, plan, compare)
-        telemetry = get_telemetry()
-        for j in order:
-            record = records[j]
-            telemetry.count("campaign.injections")
-            telemetry.count(_OUTCOME_KEYS[record.outcome])
-            group_key = _GROUP_KEYS.get(record.group)
-            if group_key is None:
-                group_key = _GROUP_KEYS[record.group] = f"campaign.group.{record.group}"
-            telemetry.count(group_key)
+        _count(records[j] for j in order)
         return records
 
     def _mine_fault_ticks(
         self,
-        workload: Workload,
+        target: InjectionTarget,
         groups: Dict[str, SiteGroup],
         tasks: Sequence[InjectionTask],
-        golden: KernelRun,
     ) -> None:
         """Tell the replay session where this chunk's faults land so extra
         snapshots sit just below the hot ticks.  Purely a perf hint: replay
         is bit-identical from any valid boundary, so approximate (or even
         wrong) ticks cost time, never correctness."""
+        golden = target.golden
         ticks: List[float] = []
         sizes: Dict[str, float] = {}
         for task in tasks:
@@ -445,7 +391,7 @@ class CampaignRunner:
                     ticks.append(golden.ticks * float(task.target_index) / size)
         if len(ticks) >= 4:  # a recapture costs a full golden re-execution
             try:
-                self._session(workload).ensure_ticks(ticks)
+                target.replay_session().ensure_ticks(ticks)
             except Exception:
                 pass  # advisory only; capture trouble surfaces (and falls
                 # back to vanilla) on the replay path itself
@@ -459,20 +405,27 @@ class CampaignRunner:
     # records are bookkeeping, not campaign results, so they must not
     # perturb the store.hits / store.tasks_replayed / store.commits
     # accounting the resume contract pins down.
-    def _session_fingerprint(self, context: CampaignContext, workload: Workload) -> str:
+    @staticmethod
+    def _session_fingerprint(context: CampaignContext, workload: Workload) -> str:
         descriptor = {
             "replay_session": workload.name,
             # a constant: kept so stored tapes keep their fingerprints
             "fast_path": True,
-            "snapshots_per_run": self.snapshots_per_run,
+            "snapshots_per_run": context.snapshots_per_run,
         }
         return chunk_fingerprints(context, [[descriptor]])[0]
 
-    def _load_session_state(self, workload: Workload, session: ReplaySession) -> None:
-        policy = self.policy
-        if policy is None or not policy.read_allowed or os.getpid() != self._store_pid:
+    @staticmethod
+    def _load_session_state(
+        policy: Optional[ExecutionPolicy],
+        store_pid: int,
+        context: CampaignContext,
+        session: ReplaySession,
+    ) -> None:
+        if policy is None or not policy.read_allowed or os.getpid() != store_pid:
             return
-        fingerprint = self._session_fingerprint(self.campaign_context(workload), workload)
+        workload = context.workload.workload
+        fingerprint = CampaignRunner._session_fingerprint(context, workload)
         try:
             # this runner may serve chunks of a later run from the worker
             # state cache, after its own store was closed
@@ -488,7 +441,7 @@ class CampaignRunner:
         policy = self.policy
         if policy is None or not policy.write_allowed:
             return
-        session = self._sessions.get(workload.name)
+        session = self._target(workload).session
         if session is None:
             return  # every evaluation ran in spawned workers or vanilla
         payload = session.export_state()
@@ -561,10 +514,10 @@ class CampaignRunner:
             ecc=self.ecc.value,
             root_seed=self.rngs.root_seed,
             workload=WorkloadHandle.wrap(workload),
-            on_crash=self.on_crash,
-            replay=self.replay_enabled,
-            snapshots_per_run=self.snapshots_per_run,
-            batch_eval=self.batch_eval,
+            on_crash=self.knobs.on_crash,
+            replay=self.knobs.replay,
+            snapshots_per_run=self.knobs.snapshots_per_run,
+            batch_eval=self.knobs.batch_eval,
         )
 
     def run(
@@ -596,11 +549,11 @@ class CampaignRunner:
             # already computed for site sizing
             groups = {g.name: g for g in self.framework.site_groups(workload)}
             _cached_state(context.cache_key(), lambda: (self, workload, groups))
-            if self.replay_enabled and self.executor.workers > 1:
+            if self.knobs.replay and self.executor.workers > 1:
                 # pool workers fork with this runner but may not read the
                 # store: import a stored tape here, before the pool starts,
                 # so a partial resume does not re-capture it in every worker
-                self._session(workload)
+                self._target(workload).replay_session()
             # policy= only when set: custom Executor implementations without
             # the kwarg keep working when no durability was requested
             if self.policy is not None:
@@ -612,7 +565,7 @@ class CampaignRunner:
                 records = self.executor.run_chunks(
                     run_injection_chunk, context, tasks, on_result=on_result
                 )
-            if self.replay_enabled:
+            if self.knobs.replay:
                 self._save_session_state(context, workload)
             result = CampaignResult(
                 workload=workload.name, framework=self.framework.name, device=self.device.name

@@ -18,7 +18,7 @@ AVFs drift from the SASS-level ones on the same codes.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -27,12 +27,11 @@ from repro.arch.ecc import EccMode
 from repro.common.errors import InjectionError
 from repro.common.rng import RngFactory
 from repro.faultsim.outcomes import CampaignResult, InjectionRecord, Outcome
-from repro.faultsim.sandbox import WATCHDOG_FACTOR, InjectionSandbox
-from repro.sim.exceptions import ContainedCrashError, GpuDeviceException
+from repro.faultsim.target import InjectionTarget
 from repro.sim.injection import StorageStrike
-from repro.sim.launch import KernelRun, run_kernel
-from repro.sim.replay import ReplaySession
-from repro.workloads.base import CompareResult, Workload
+from repro.sim.launch import KernelRun
+from repro.store.policy import ExecutionPolicy
+from repro.workloads.base import Workload
 
 
 class CarolFi:
@@ -48,84 +47,43 @@ class CarolFi:
         device: DeviceSpec,
         *,
         seed: int = 0,
-        on_crash: str = "due",
-        replay: bool = True,
-        snapshots_per_run: int = 16,
+        policy: Optional[ExecutionPolicy] = None,
     ) -> None:
         self.device = device
         self.rngs = RngFactory(seed)
-        self.sandbox = InjectionSandbox(on_crash)
-        self.replay_enabled = replay
-        self.snapshots_per_run = snapshots_per_run
-        self._golden: Dict[str, KernelRun] = {}
-        self._sessions: Dict[str, ReplaySession] = {}
+        self.policy = policy
+        self._targets: Dict[str, InjectionTarget] = {}
 
-    def _session(self, workload: Workload) -> ReplaySession:
-        # the injected runs execute ECC OFF (the debugger writes around
-        # ECC), so the session captures ECC OFF too; without a strike the
-        # executed stream — and therefore golden.ticks — is ECC-invariant
-        session = self._sessions.get(workload.name)
-        if session is None:
-            golden = self.golden(workload)
-            session = ReplaySession(
-                self.device,
-                workload.kernel,
-                workload.sim_launch(),
-                ecc=EccMode.OFF,
-                backend=self.backend,
-                snapshots_per_run=self.snapshots_per_run,
-                expected_ticks=golden.ticks,
+    def _target(self, workload: Workload) -> InjectionTarget:
+        # the golden run keeps ECC ON, like the application; the injected
+        # runs execute ECC OFF, because the debugger writes around ECC
+        target = self._targets.get(workload.name)
+        if target is None:
+            target = self._targets[workload.name] = InjectionTarget(
+                self.device, workload, EccMode.OFF, self.backend, self.policy,
+                golden_ecc=EccMode.ON,
             )
-            self._sessions[workload.name] = session
-        return session
+        return target
 
     def golden(self, workload: Workload) -> KernelRun:
-        if workload.name not in self._golden:
-            self._golden[workload.name] = run_kernel(
-                self.device,
-                workload.kernel,
-                workload.sim_launch(),
-                ecc=EccMode.ON,
-                backend=self.backend,
-            )
-        return self._golden[workload.name]
+        return self._target(workload).golden
 
     def inject_once(self, workload: Workload, rng: np.random.Generator) -> InjectionRecord:
         """One variable-level fault: flip a bit of a random buffer word at a
         random execution tick (ECC is bypassed — the injector writes the
         corrupted value through the memory hierarchy, as ptrace-style tools
         do)."""
-        golden = self.golden(workload)
-        tick = float(rng.integers(0, max(1, int(golden.ticks))))
-        strike = StorageStrike(tick=tick, space="global", rng=rng)
-        try:
-            if self.replay_enabled:
-                run = self.sandbox.run(
-                    self._session(workload).run,
-                    strikes=(strike,),
-                    watchdog_limit=WATCHDOG_FACTOR * golden.ticks,
-                )
-            else:
-                run = self.sandbox.run(
-                    run_kernel,
-                    self.device,
-                    workload.kernel,
-                    workload.sim_launch(),
-                    ecc=EccMode.OFF,  # the debugger writes around ECC
-                    backend=self.backend,
-                    strikes=(strike,),
-                    watchdog_limit=WATCHDOG_FACTOR * golden.ticks,
-                )
-        except GpuDeviceException as exc:
+        target = self._target(workload)
+        tick = float(rng.integers(0, max(1, int(target.golden.ticks))))
+        verdict = target.inject(strikes=(StorageStrike(tick=tick, space="global", rng=rng),))
+        if verdict.outcome is Outcome.DUE:
             return InjectionRecord(
                 group="variable",
                 outcome=Outcome.DUE,
-                due_cause=exc.cause,
-                contained=isinstance(exc, ContainedCrashError),
+                due_cause=verdict.due_cause,
+                contained=verdict.contained,
             )
-        compare = workload.compare(golden.outputs, run.outputs)
-        outcome = Outcome.SDC if compare is CompareResult.SDC else Outcome.MASKED
-        return InjectionRecord(group="variable", outcome=outcome, detail="buffer_flip")
+        return InjectionRecord(group="variable", outcome=verdict.outcome, detail="buffer_flip")
 
     def run(self, workload: Workload, injections: int) -> CampaignResult:
         if injections <= 0:

@@ -13,10 +13,11 @@ to exactly those structures (§VII-B, Fig. 6 and the NSREC'21 follow-up).
 * each injected fault draws its manifestation from the unit's outcome
   mixture (the same splits the beam catalog uses):
 
-  - **DUE** — the unit's :class:`~repro.sim.exceptions.GpuDeviceException`
-    subclass is raised (``SchedulerHangError``, ``InstructionDecodeError``,
-    ``MemoryControllerError``, ``HostInterfaceError``), giving every record
-    a machine-readable ``due_cause``,
+  - **DUE** — the record carries the ``cause`` of the unit's
+    :class:`~repro.sim.exceptions.GpuDeviceException` subclass
+    (``SchedulerHangError``, ``InstructionDecodeError``,
+    ``MemoryControllerError``, ``HostInterfaceError``) as its
+    machine-readable ``due_cause``; nothing is re-executed,
   - **SDC** — the fault leaks into architectural state and is replayed
     *mechanistically*: a corrupted memory-controller transaction becomes a
     global-memory strike, corrupted scheduler state a register-file strike,
@@ -24,9 +25,9 @@ to exactly those structures (§VII-B, Fig. 6 and the NSREC'21 follow-up).
     comparison rule then decides SDC vs masked,
   - **masked** — the corrupted state was never consumed; no re-execution.
 
-Every injected run executes under the campaign
-:class:`~repro.faultsim.sandbox.InjectionSandbox`, so a pathological
-mechanistic replay is contained like any other injection.
+Every mechanistic replay is an injected run of the shared
+:class:`~repro.faultsim.target.InjectionTarget`, so it is sandboxed,
+watchdog-limited and classified like any other injection.
 """
 
 from __future__ import annotations
@@ -42,9 +43,8 @@ from repro.arch.units import UnitKind
 from repro.common.errors import InjectionError
 from repro.common.rng import RngFactory
 from repro.faultsim.outcomes import CampaignResult, InjectionRecord, Outcome
-from repro.faultsim.sandbox import WATCHDOG_FACTOR, InjectionSandbox
+from repro.faultsim.target import InjectionTarget
 from repro.sim.exceptions import (
-    ContainedCrashError,
     GpuDeviceException,
     HostInterfaceError,
     InstructionDecodeError,
@@ -58,13 +58,14 @@ from repro.sim.injection import (
     StorageStrike,
     gpr_write_stream,
 )
-from repro.sim.launch import KernelRun, run_kernel
-from repro.sim.replay import ReplaySession
+from repro.sim.launch import KernelRun
+from repro.store.policy import ExecutionPolicy
 from repro.telemetry import get_telemetry
-from repro.workloads.base import CompareResult, Workload
+from repro.workloads.base import Workload
 
-#: which device exception a DUE-manifesting fault in each unit raises;
-#: lives here (not repro.arch) so the arch layer stays below repro.sim
+#: the device exception a DUE-manifesting fault in each unit stands for
+#: (its ``cause`` is the record's ``due_cause``); lives here (not
+#: repro.arch) so the arch layer stays below repro.sim
 UNCORE_EXCEPTIONS: Dict[UnitKind, Type[GpuDeviceException]] = {
     UnitKind.SCHEDULER: SchedulerHangError,
     UnitKind.INSTRUCTION_PIPELINE: InstructionDecodeError,
@@ -103,48 +104,27 @@ class UncoreInjector:
         *,
         seed: int = 0,
         ecc: EccMode = EccMode.ON,
-        on_crash: str = "due",
         table: Optional[UncoreFitTable] = None,
-        replay: bool = True,
-        snapshots_per_run: int = 16,
+        policy: Optional[ExecutionPolicy] = None,
     ) -> None:
         self.device = device
         self.rngs = RngFactory(seed)
         self.ecc = ecc
         self.table = table if table is not None else uncore_table(device.architecture)
-        self.sandbox = InjectionSandbox(on_crash)
-        self.replay_enabled = replay
-        self.snapshots_per_run = snapshots_per_run
-        self._golden: Dict[str, KernelRun] = {}
-        self._sessions: Dict[str, ReplaySession] = {}
+        self.policy = policy
+        self._targets: Dict[str, InjectionTarget] = {}
 
     # -- golden ---------------------------------------------------------------
-    def golden(self, workload: Workload) -> KernelRun:
-        if workload.name not in self._golden:
-            self._golden[workload.name] = run_kernel(
-                self.device,
-                workload.kernel,
-                workload.sim_launch(),
-                ecc=self.ecc,
-                backend=self.backend,
+    def _target(self, workload: Workload) -> InjectionTarget:
+        target = self._targets.get(workload.name)
+        if target is None:
+            target = self._targets[workload.name] = InjectionTarget(
+                self.device, workload, self.ecc, self.backend, self.policy
             )
-        return self._golden[workload.name]
+        return target
 
-    def _session(self, workload: Workload) -> ReplaySession:
-        session = self._sessions.get(workload.name)
-        if session is None:
-            golden = self.golden(workload)
-            session = ReplaySession(
-                self.device,
-                workload.kernel,
-                workload.sim_launch(),
-                ecc=self.ecc,
-                backend=self.backend,
-                snapshots_per_run=self.snapshots_per_run,
-                expected_ticks=golden.ticks,
-            )
-            self._sessions[workload.name] = session
-        return session
+    def golden(self, workload: Workload) -> KernelRun:
+        return self._target(workload).golden
 
     # -- site weighting -------------------------------------------------------
     def unit_weights(self, workload: Workload) -> Dict[UnitKind, float]:
@@ -184,38 +164,19 @@ class UncoreInjector:
     def _inject_once(
         self, workload: Workload, unit: UnitKind, rng: np.random.Generator
     ) -> InjectionRecord:
-        golden = self.golden(workload)
+        target = self._target(workload)
+        golden = target.golden
         group = _GROUP_NAMES[unit]
         rates = self.table.rates_for(unit)
         draw = float(rng.random())
         if draw >= rates.p_due + rates.p_sdc:
             # the corrupted state was flushed / never consumed
             return InjectionRecord(group=group, outcome=Outcome.MASKED, detail="absorbed")
-        try:
-            run = self.sandbox.run(self._manifest, workload, unit, golden, rng, draw, rates)
-        except GpuDeviceException as exc:
-            return InjectionRecord(
-                group=group,
-                outcome=Outcome.DUE,
-                due_cause=exc.cause,
-                contained=isinstance(exc, ContainedCrashError),
-            )
-        compare = workload.compare(golden.outputs, run.outputs)
-        outcome = Outcome.SDC if compare is CompareResult.SDC else Outcome.MASKED
-        return InjectionRecord(group=group, outcome=outcome, detail=f"{unit.value}_leak")
-
-    def _manifest(
-        self,
-        workload: Workload,
-        unit: UnitKind,
-        golden: KernelRun,
-        rng: np.random.Generator,
-        draw: float,
-        rates,
-    ) -> KernelRun:
-        """The injected execution (runs inside the sandbox)."""
         if draw < rates.p_due:
-            raise UNCORE_EXCEPTIONS[unit]()
+            # the unit's own device exception: nothing is re-executed
+            return InjectionRecord(
+                group=group, outcome=Outcome.DUE, due_cause=uncore_due_cause(unit)
+            )
         # SDC branch: replay the leak mechanistically
         plan = None
         strikes: Tuple[StorageStrike, ...] = ()
@@ -224,23 +185,15 @@ class UncoreInjector:
         if plan is None:
             tick = float(rng.integers(0, max(1, int(golden.ticks))))
             strikes = (StorageStrike(tick=tick, space=_SDC_SPACE.get(unit, "global"), rng=rng),)
-        if self.replay_enabled:
-            # bit-identical suffix re-execution from the nearest snapshot
-            return self._session(workload).run(
-                plan=plan,
-                strikes=strikes,
-                watchdog_limit=WATCHDOG_FACTOR * golden.ticks,
+        verdict = target.inject(plan, strikes)
+        if verdict.outcome is Outcome.DUE:
+            return InjectionRecord(
+                group=group,
+                outcome=Outcome.DUE,
+                due_cause=verdict.due_cause,
+                contained=verdict.contained,
             )
-        return run_kernel(
-            self.device,
-            workload.kernel,
-            workload.sim_launch(),
-            ecc=self.ecc,
-            backend=self.backend,
-            plan=plan,
-            strikes=strikes,
-            watchdog_limit=WATCHDOG_FACTOR * golden.ticks,
-        )
+        return InjectionRecord(group=group, outcome=verdict.outcome, detail=f"{unit.value}_leak")
 
     def _decode_plan(
         self, golden: KernelRun, rng: np.random.Generator

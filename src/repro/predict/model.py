@@ -40,7 +40,7 @@ from repro.common.errors import ConfigurationError
 from repro.common.rng import RngFactory
 from repro.exec.engine import Executor, get_executor
 from repro.exec.tasks import MemoryAvfContext, StrikeTask, WorkloadHandle
-from repro.exec.worker import _cached_state, run_strike_chunk
+from repro.exec.worker import _cached_state, memory_avf_target, run_strike_chunk
 from repro.faultsim.outcomes import CampaignResult, Outcome
 from repro.profiling.metrics import KernelMetrics
 from repro.profiling.profiler import Profiler
@@ -173,8 +173,12 @@ def measure_memory_avf(
     ):
         names = (device.name, workload.name)
         rng = RngFactory(seed).stream("mem_avf", *names)
-        golden = run_kernel(device, workload.kernel, workload.sim_launch(), ecc=EccMode.OFF, backend=backend)
-        ticks = rng.integers(0, max(1, int(golden.ticks)), size=strikes)
+        context = MemoryAvfContext(
+            device=device, backend=backend, workload=WorkloadHandle.wrap(workload),
+            on_crash=(policy or ExecutionPolicy()).on_crash,
+        )
+        target = memory_avf_target(context)
+        ticks = rng.integers(0, max(1, int(target.golden.ticks)), size=strikes)
         tasks = [
             StrikeTask(
                 index=i,
@@ -185,11 +189,8 @@ def measure_memory_avf(
             )
             for i in range(strikes)
         ]
-        context = MemoryAvfContext(
-            device=device, backend=backend, workload=WorkloadHandle.wrap(workload),
-            on_crash=(policy or ExecutionPolicy()).on_crash,
-        )
-        _cached_state(context.cache_key(), lambda: (workload, golden))
+        # reuse this golden run in the serial path and fork-spawned children
+        _cached_state(context.cache_key(), lambda: target)
         pool = get_executor(workers, executor)
         if policy is not None:
             outcomes = pool.run_chunks(

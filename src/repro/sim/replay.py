@@ -54,7 +54,6 @@ from __future__ import annotations
 import bisect
 import copy
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -164,13 +163,9 @@ class SimSnapshot:
     shared_bytes: int
     barriers: int
     host_syncs: int
-    active_lane_sum: float
-    launched_lane_sum: float
-    #: flushed trace contents in insertion order (empty unless the kernel
-    #: read ``ctx.trace`` before this boundary)
-    trace_instances: List[Tuple[OpClass, float]]
-    trace_issues: List[Tuple[OpClass, float]]
     # -- batched trace accumulators -------------------------------------------
+    # (all the trace accounting there is: capture refuses a boundary after
+    # the kernel flushed the trace, see RecordingContext._rc_capture_state)
     inst_acc: List[float]
     issue_acc: List[float]
     touched: List[OpClass]
@@ -324,13 +319,16 @@ class RecordingContext(KernelContext):
                 raise CaptureError(f"live register without tape ordinal (vreg {val.vreg})")
             ring.append((slot, ordinal))
         trace = self._trace
-        # cumulative per-op counts WITHOUT flushing (a flush would reorder
-        # Counter insertion relative to the vanilla once-per-run flush);
-        # values are integral floats, so this sum is exact regardless
-        cum_ops = {op: float(v) for op, v in trace.instances.items()}
+        if trace.instances or trace.issues or trace.launched_lane_sum:
+            # the kernel read ctx.trace before this boundary; snapshots
+            # restore only the batched accumulators, so refuse to capture
+            # (the session then runs every injection vanilla)
+            raise CaptureError("trace flushed before a snapshot boundary")
+        # cumulative per-op counts, read from the accumulators WITHOUT
+        # flushing (a flush would reorder Counter insertion relative to the
+        # vanilla once-per-run flush)
         inst = self._inst_acc
-        for op in self._touched:
-            cum_ops[op] = cum_ops.get(op, 0.0) + inst[op.op_index]
+        cum_ops = {op: float(inst[op.op_index]) for op in self._touched}
         return SimSnapshot(
             call_index=len(self._rc_calls),
             tick=self.tick,
@@ -343,10 +341,6 @@ class RecordingContext(KernelContext):
             shared_bytes=trace.shared_bytes,
             barriers=trace.barriers,
             host_syncs=trace.host_syncs,
-            active_lane_sum=trace.active_lane_sum,
-            launched_lane_sum=trace.launched_lane_sum,
-            trace_instances=list(trace.instances.items()),
-            trace_issues=list(trace.issues.items()),
             inst_acc=list(self._inst_acc),
             issue_acc=list(self._issue_acc),
             touched=list(self._touched),
@@ -612,12 +606,6 @@ class ReplayContext(KernelContext):
         trace.shared_bytes = snap.shared_bytes
         trace.barriers = snap.barriers
         trace.host_syncs = snap.host_syncs
-        trace.active_lane_sum = snap.active_lane_sum
-        trace.launched_lane_sum = snap.launched_lane_sum
-        trace.instances = Counter()
-        for op, value in snap.trace_instances:
-            trace.instances[op] = value
-        trace.issues = {op: value for op, value in snap.trace_issues}
         self._inst_acc = list(snap.inst_acc)
         self._issue_acc = list(snap.issue_acc)
         self._touched = list(snap.touched)

@@ -1,8 +1,8 @@
 """Chaos suite: campaigns over workloads that crash, wedge, or kill their
 worker must classify — never die — and stay bit-identical.
 
-Three hostile workloads (module-level so they pickle into worker
-processes) exercise the containment stack end to end:
+Hostile workloads (module-level so they pickle into worker processes)
+exercise the containment stack end to end:
 
 * :class:`RecursionCrashWorkload` / :class:`MemoryCrashWorkload` — the
   golden run is healthy, but every *injected* run (``ctx.plan`` armed)
@@ -10,6 +10,9 @@ processes) exercise the containment stack end to end:
   sandbox classifies each crash as a contained DUE, identically for
   ``workers=1/2/4`` and both store backends; under ``"quarantine"`` the
   chunk goes straight to the store's quarantine without burning retries.
+* :class:`ArmedCrashWorkload` — crashes whenever a fault is armed, by plan
+  or by storage strike, so every engine's injected runs — campaign,
+  CAROL-FI, uncore, beam op strikes — must come back as contained DUEs.
 * :class:`KamikazeWorkload` — SIGKILLs the first worker process that
   executes it (never the parent), breaking the process pool mid-chunk.
   The engine rebuilds the pool, resubmits, and the finished campaign —
@@ -24,9 +27,17 @@ import numpy as np
 import pytest
 
 import repro.api as api
+from repro.arch.devices import KEPLER_K40C
 from repro.arch.dtypes import DType
+from repro.arch.ecc import EccMode
+from repro.arch.isa import OpClass
+from repro.arch.uncore import UncoreFitTable, UncoreUnitRates
+from repro.beam.cross_sections import KEPLER_CATALOG
+from repro.beam.engine import BeamEngine
 from repro.common.errors import ChunkQuarantinedError, InjectionCrashError
+from repro.faultsim.carolfi import CarolFi
 from repro.faultsim.outcomes import Outcome
+from repro.faultsim.uncore import UNCORE_EXCEPTIONS, UncoreInjector
 from repro.sim.launch import LaunchConfig
 from repro.store import ExecutionPolicy, open_store
 from repro.telemetry import telemetry_session
@@ -88,6 +99,20 @@ class RecursionCrashWorkload(_CrashingWorkload):
 
 class MemoryCrashWorkload(_CrashingWorkload):
     crash_exc = MemoryError
+
+
+class ArmedCrashWorkload(_CrashingWorkload):
+    """Raises RecursionError whenever a fault is armed, by plan or by strike.
+
+    A replayed run holds its strikes until it goes live, so those count
+    as armed too."""
+
+    crash_exc = RecursionError
+
+    def kernel(self, ctx):
+        if ctx._strikes or getattr(ctx, "_rp_strikes", None):
+            raise self.crash_exc("injected run wedged the interpreter")
+        return super().kernel(ctx)
 
 
 class KamikazeWorkload(Workload):
@@ -179,6 +204,58 @@ class TestDueContainment:
         replayed, counters = _run(MemoryCrashWorkload(), store=store_path)
         assert _signature(replayed) == _signature(baseline)
         assert counters.get("store.misses", 0) == 0
+
+
+#: every uncore fault leaks into architectural state, so every injection
+#: re-executes the kernel
+_ALWAYS_LEAKS = UncoreFitTable(
+    architecture="kepler",
+    units={
+        unit: UncoreUnitRates(fit_per_instance=1.0, p_due=0.0, p_sdc=1.0)
+        for unit in UNCORE_EXCEPTIONS
+    },
+)
+
+
+def _campaign(workload):
+    return api.run_campaign(workload, device="kepler", injections=INJECTIONS, seed=1).records
+
+
+def _carolfi(workload):
+    return CarolFi(KEPLER_K40C, seed=1).run(workload, INJECTIONS).records
+
+
+def _uncore(workload):
+    injector = UncoreInjector(KEPLER_K40C, seed=1, table=_ALWAYS_LEAKS)
+    return injector.run(workload, INJECTIONS).records
+
+
+def _beam_op_strikes(workload):
+    engine = BeamEngine(KEPLER_K40C, workload, KEPLER_CATALOG, EccMode.OFF)
+    rng = np.random.default_rng(1)
+    return [engine.op_fault_eval(OpClass.FFMA, rng) for _ in range(INJECTIONS)]
+
+
+ENGINES = {
+    "campaign": _campaign,
+    "carolfi": _carolfi,
+    "uncore": _uncore,
+    "beam": _beam_op_strikes,
+}
+
+
+class TestContainmentInEveryEngine:
+    @pytest.mark.parametrize("engine", sorted(ENGINES))
+    def test_armed_runs_are_contained_dues(self, engine):
+        with telemetry_session() as telemetry:
+            verdicts = ENGINES[engine](ArmedCrashWorkload())
+            counters = dict(telemetry.registry.counters)
+        assert [(v.outcome, v.due_cause, v.contained) for v in verdicts] == [
+            (Outcome.DUE, "contained:RecursionError", True)
+        ] * INJECTIONS
+        assert counters["sandbox.contained"] == INJECTIONS
+        assert counters["sandbox.contained.due"] == INJECTIONS
+        assert counters["sandbox.cause.RecursionError"] == INJECTIONS
 
 
 class TestQuarantine:

@@ -18,6 +18,7 @@ the containment contract:
   ``watchdog_limit`` ticks completes, one tick more is a DUE.
 """
 
+import inspect
 import pickle
 import signal
 import threading
@@ -274,11 +275,13 @@ class TestWatchdogBoundary:
         assert excinfo.value.cause == "watchdog"
 
     def test_watchdog_factor_single_source(self):
-        """Every engine shares the one budget constant in the sandbox
-        module — the pre-PR-5 triplicated copies must never come back."""
+        """The shared injected-run path is the one place that applies the
+        sandbox module's budget constant; no engine applies (or copies) it."""
         from repro.beam import engine
-        from repro.faultsim import campaign, carolfi, uncore
+        from repro.exec import worker
+        from repro.faultsim import campaign, carolfi, target, uncore
 
         assert WATCHDOG_FACTOR == 8.0
-        for module in (campaign, carolfi, uncore, engine):
-            assert module.WATCHDOG_FACTOR is sandbox_mod.WATCHDOG_FACTOR
+        assert target.WATCHDOG_FACTOR is sandbox_mod.WATCHDOG_FACTOR
+        for module in (campaign, carolfi, uncore, engine, worker):
+            assert "WATCHDOG_FACTOR" not in inspect.getsource(module), module.__name__

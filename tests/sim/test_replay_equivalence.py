@@ -3,9 +3,9 @@
 Replay forks every injected run from the nearest golden snapshot and
 executes only the post-fault suffix; the contract is that nothing
 observable changes.  These tests pin it end to end: campaign records, DUE
-breakdowns, beam tallies/FITs, uncore records and captured telemetry are
-bit-identical with replay on or off, serial or parallel, ECC on or off,
-on more than one workload.
+breakdowns, beam tallies/FITs, uncore and CAROL-FI records and captured
+telemetry are bit-identical with replay on or off, serial or parallel, ECC
+on or off, on more than one workload.
 
 The same ``span.*`` histogram exemption as the fast-path suite applies —
 they record wall-clock seconds, the one thing replay is supposed to
@@ -21,6 +21,8 @@ from repro.arch.devices import KEPLER_K40C
 from repro.arch.dtypes import DType
 from repro.arch.ecc import EccMode
 from repro.arch.isa import OpClass
+from repro.experiments.fig4 import FIG4_KEPLER
+from repro.faultsim.carolfi import CarolFi
 from repro.faultsim.uncore import UncoreInjector
 from repro.sim.exceptions import GpuDeviceException
 from repro.sim.injection import (
@@ -147,10 +149,26 @@ class TestUncoreEquivalence:
         def observe(replay):
             workload = get_workload("kepler", code, seed=3)
             with capture() as registry:
-                injector = UncoreInjector(KEPLER_K40C, seed=3, replay=replay)
+                injector = UncoreInjector(KEPLER_K40C, seed=3, policy=_policy(replay))
                 result = injector.run(workload, 12)
             records = [
                 (r.outcome, r.group, r.detail, r.due_cause) for r in result.records
+            ]
+            return records, _observable(registry.snapshot())
+
+        assert observe(True) == observe(False)
+
+
+class TestCarolFiEquivalence:
+    @pytest.mark.parametrize("code", FIG4_KEPLER)
+    def test_records_identical(self, code):
+        def observe(replay):
+            workload = get_workload("kepler", code, seed=3)
+            with capture() as registry:
+                result = CarolFi(KEPLER_K40C, seed=3, policy=_policy(replay)).run(workload, 12)
+            records = [
+                (r.outcome, r.group, r.detail, r.due_cause, r.contained)
+                for r in result.records
             ]
             return records, _observable(registry.snapshot())
 
@@ -219,6 +237,57 @@ class TestWildStoreForwarding:
                     mismatches.append((target, seed))
         assert session.stats["replays"] > 0
         assert mismatches == []
+
+
+def _trace_reading_kernel(ctx):
+    """Reads ``ctx.trace`` halfway through the loop, which flushes the
+    batched per-op accounting into the trace mid-run."""
+    a = ctx.alloc("a", np.arange(64, dtype=np.float32), DType.FP32)
+    out = ctx.alloc_zeros("out", 64, DType.FP32)
+    gid = ctx.global_id()
+    one = ctx.const(1.0, DType.FP32)
+    acc = ctx.ld(a, gid)
+    for i in ctx.range(40):
+        acc = ctx.add(acc, one)
+        ctx.st(a, gid, acc)
+        if i == 20:
+            ctx.trace
+    ctx.st(out, gid, acc)
+    return {"out": ctx.read_buffer(out)}
+
+
+class TestMidRunTraceRead:
+    def test_runs_match_vanilla(self):
+        """Snapshots hold only the batched accumulators, not flushed trace
+        contents: a kernel that reads ``ctx.trace`` mid-run must still give
+        the outputs and trace a vanilla run gives, for faults on either
+        side of the read."""
+        launch = LaunchConfig(grid_blocks=2, threads_per_block=32)
+        golden = run_kernel(KEPLER_K40C, _trace_reading_kernel, launch)
+        session = ReplaySession(
+            KEPLER_K40C, _trace_reading_kernel, launch,
+            snapshots_per_run=8, expected_ticks=golden.ticks,
+        )
+
+        def observe(run):
+            trace = run.trace
+            return (
+                {name: data.tobytes() for name, data in run.outputs.items()},
+                dict(trace.instances),
+                dict(trace.issues),
+                trace.active_lane_sum,
+                trace.launched_lane_sum,
+                run.ticks,
+            )
+
+        for tick in np.linspace(0.1, 0.9, 9) * golden.ticks:
+            def strike():
+                return StorageStrike(
+                    tick=float(int(tick)), space="global", rng=np.random.default_rng(7)
+                )
+
+            vanilla = run_kernel(KEPLER_K40C, _trace_reading_kernel, launch, strikes=(strike(),))
+            assert observe(session.run(strikes=(strike(),))) == observe(vanilla)
 
 
 class TestSessionCodecRoundTrip:

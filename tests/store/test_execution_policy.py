@@ -98,6 +98,11 @@ class TestOneSpelling:
             predict("FMXM", session=ExperimentSession(), policy=ExecutionPolicy())
 
 
+def _sessions(runner):
+    """The replay sessions a runner's injection targets have created."""
+    return [t.session for t in runner._targets.values() if t.session is not None]
+
+
 class TestReplaySessionPersistence:
     def test_session_snapshot_round_trips_through_store(self, tmp_path, monkeypatch):
         workload = get_workload("kepler", "FMXM", seed=4)
@@ -133,7 +138,7 @@ class TestReplaySessionPersistence:
         # fully warm: every chunk is served, so no session is ever created
         # and the stored tape is never loaded
         warm_runner = rerun()
-        assert warm_runner._sessions == {}
+        assert _sessions(warm_runner) == []
         assert imports == []
 
         # one chunk missing: the session created to evaluate it imports the
@@ -141,7 +146,7 @@ class TestReplaySessionPersistence:
         victim = next(fp for fp, kind in kinds.items() if kind == "campaign")
         cold_policy.store.quarantine(victim, "campaign", "knocked out", attempts=1)
         partial_runner = rerun()
-        sessions = list(partial_runner._sessions.values())
+        sessions = _sessions(partial_runner)
         assert len(sessions) == 1 and imports == sessions
         assert sessions[0].stats["captures"] == 0
         assert sessions[0].export_state() is not None
@@ -186,6 +191,6 @@ class TestReplaySessionPersistence:
             runner.executor.close()
         assert [r.outcome for r in resumed.records] == [r.outcome for r in cold.records]
         assert not log.exists()  # no process captured the golden run again
-        session = next(iter(runner._sessions.values()))
+        (session,) = _sessions(runner)
         assert session.stats["captures"] == 0
         assert session.export_state() is not None

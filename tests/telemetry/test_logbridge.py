@@ -18,7 +18,7 @@ def test_instrumented_modules_share_the_namespace():
     import importlib
 
     for name in (
-        "repro.beam.engine",
+        "repro.faultsim.target",
         "repro.beam.experiment",
         "repro.beam.exposure",
         "repro.beam.cross_sections",
