@@ -11,7 +11,7 @@ modeled element; see DESIGN.md §5.4).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,7 +21,8 @@ from repro.arch.isa import OpClass
 from repro.arch.units import UnitKind
 from repro.beam.cross_sections import CrossSectionCatalog
 from repro.common.errors import ConfigurationError
-from repro.faultsim.outcomes import Outcome, StrikeEval
+from repro.faultsim.frameworks import SiteGroup
+from repro.faultsim.outcomes import InjectionRecord, Outcome, StrikeEval
 from repro.faultsim.target import InjectionTarget
 from repro.faultsim.uncore import UNCORE_EXCEPTIONS
 from repro.sim.exceptions import EccDoubleBitError
@@ -51,6 +52,13 @@ _OUTCOME_KEYS = {
 _CAUSE_KEYS: dict = {}
 
 
+class _OpStrike(NamedTuple):
+    """A functional-unit strike as the batched evaluator sees a task."""
+
+    group: str
+    target_index: int
+
+
 class BeamEngine:
     """Evaluates strike outcomes for one (device, workload, ECC) setup."""
 
@@ -73,14 +81,25 @@ class BeamEngine:
         #: the mechanistic re-executions: sandboxed like the injection
         #: campaigns (the beam supervisor never dies with the DUT)
         self.target = InjectionTarget(device, workload, ecc, backend, policy)
+        #: one OUTPUT_VALUE site group per struck op class, for the tape
+        self._op_groups: Dict[OpClass, SiteGroup] = {}
 
     @property
     def golden(self) -> KernelRun:
         return self.target.golden
 
     # -- strike evaluators ------------------------------------------------------------
-    def op_fault_eval(self, op: OpClass, rng: np.random.Generator) -> StrikeEval:
-        """A strike on a functional-unit datapath while ``op`` is in flight."""
+    def _op_group(self, op: OpClass) -> SiteGroup:
+        group = self._op_groups.get(op)
+        if group is None:
+            group = self._op_groups[op] = SiteGroup(
+                f"op:{op.name}", InjectionMode.OUTPUT_VALUE, opclass_stream(op)
+            )
+        return group
+
+    def _op_plan(self, op: OpClass, rng: np.random.Generator) -> InjectionPlan:
+        """A functional-unit strike's plan: the strike's first draws pick
+        the target instance, then (for LD/ST) the mode."""
         instances = self.golden.trace.instances.get(op, 0)
         if instances <= 0:
             raise ConfigurationError(f"{self.workload.name} never executes {op}")
@@ -88,14 +107,17 @@ class BeamEngine:
         mode = InjectionMode.OUTPUT_VALUE
         if op in _ADDRESSABLE and rng.random() < self.catalog.lsu_address_fraction:
             mode = InjectionMode.ADDRESS
-        plan = InjectionPlan(
+        return InjectionPlan(
             mode=mode,
-            stream=opclass_stream(op),
+            stream=self._op_group(op).stream,
             target_index=target,
             fault_model=FaultModel.SINGLE_BIT,
             rng=rng,
         )
-        return self.target.inject(plan)
+
+    def op_fault_eval(self, op: OpClass, rng: np.random.Generator) -> StrikeEval:
+        """A strike on a functional-unit datapath while ``op`` is in flight."""
+        return self.target.inject(self._op_plan(op, rng))
 
     def storage_fault_eval(self, unit: UnitKind, rng: np.random.Generator) -> StrikeEval:
         """A strike on a storage bit (RF / shared / device memory)."""
@@ -149,6 +171,79 @@ class BeamEngine:
             evaluation = self.hidden_fault_eval(UnitKind(name), rng)
         else:
             raise ConfigurationError(f"unknown resource key {resource!r}")
+        return self._tally(kind, evaluation)
+
+    def evaluate_chunk(
+        self, resources: Sequence[str], rngs: Sequence[np.random.Generator]
+    ) -> List[StrikeEval]:
+        """Evaluate a chunk of strikes: the same results, RNG draws and
+        telemetry as :meth:`evaluate_detailed` per strike.
+
+        Functional-unit strikes draw their plans first.  The OUTPUT_VALUE
+        ones go to the golden tape, one site group per op class; each
+        strike the tape does not settle then runs on its own, with its RNG
+        as the draws left it.
+        """
+        plans: Dict[int, Tuple[OpClass, InjectionPlan]] = {}
+        for j, resource in enumerate(resources):
+            kind, _, name = resource.partition(":")
+            if kind == "op":
+                op = OpClass[name]
+                plans[j] = op, self._op_plan(op, rngs[j])
+        settled = self._settle_on_tape(plans)
+        evaluations = []
+        for j, resource in enumerate(resources):
+            if j not in plans:
+                evaluations.append(self.evaluate_detailed(resource, rngs[j]))
+                continue
+            evaluation = settled.get(j)
+            if evaluation is None:
+                evaluation = self.target.inject(plans[j][1])
+            evaluations.append(self._tally("op", evaluation))
+        return evaluations
+
+    def _settle_on_tape(
+        self, plans: Dict[int, Tuple[OpClass, InjectionPlan]]
+    ) -> Dict[int, StrikeEval]:
+        """The evaluations of the OUTPUT_VALUE op strikes the tape settles."""
+        batched = [
+            j for j, (_, plan) in plans.items() if plan.mode is InjectionMode.OUTPUT_VALUE
+        ]
+        if not batched:
+            return {}
+        groups = {}
+        tasks = []
+        for j in batched:
+            op, plan = plans[j]
+            group = self._op_group(op)
+            groups[group.name] = group
+            tasks.append(_OpStrike(group.name, plan.target_index))
+
+        def run_canary(i: int) -> InjectionRecord:
+            plan = plans[batched[i]][1]
+            evaluation = self.target.inject(plan)
+            return InjectionRecord(
+                group=tasks[i].group,
+                outcome=evaluation.outcome,
+                op=plan.record.op,
+                bit=plan.record.bit,
+                detail=plan.record.detail,
+                due_cause=evaluation.due_cause,
+                contained=evaluation.contained,
+            )
+
+        records: List[Optional[InjectionRecord]] = [None] * len(batched)
+        self.target.settle_on_tape(
+            groups, tasks, [plans[j][1].rng for j in batched], records, run_canary
+        )
+        return {
+            j: StrikeEval(record.outcome, record.due_cause, record.contained)
+            for j, record in zip(batched, records)
+            if record is not None
+        }
+
+    @staticmethod
+    def _tally(kind: str, evaluation: StrikeEval) -> StrikeEval:
         # per-provenance-bucket tallies; captured per task in worker chunks,
         # so the merged aggregate is identical for any workers= setting
         telemetry = get_telemetry()

@@ -226,6 +226,7 @@ class BeamExperiment:
             on_crash=self.knobs.on_crash,
             replay=self.knobs.replay,
             snapshots_per_run=self.knobs.snapshots_per_run,
+            batch_eval=self.knobs.batch_eval,
         )
         # reuse this experiment's engine (golden already computed for the
         # exposure profile) in the serial path and fork-spawned children

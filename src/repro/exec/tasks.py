@@ -128,10 +128,11 @@ class BeamEvalContext:
     catalog_tag: str               # distinguishes non-default catalogs
     workload: WorkloadHandle
     on_crash: str = "due"
-    #: checkpoint/replay knobs (cache key only; see CampaignContext).  Beam
-    #: strikes are evaluated one at a time, so batch_eval has no slot here
+    #: checkpoint/replay knobs (cache key only; see CampaignContext).
+    #: batch_eval lets the golden tape settle functional-unit strikes
     replay: bool = True
     snapshots_per_run: int = 16
+    batch_eval: bool = True
 
     def cache_key(self) -> tuple:
         return (
@@ -144,6 +145,7 @@ class BeamEvalContext:
             self.on_crash,
             self.replay,
             self.snapshots_per_run,
+            self.batch_eval,
         )
 
 

@@ -126,6 +126,7 @@ def _beam_state(ctx: BeamEvalContext):
                 on_crash=ctx.on_crash,
                 replay=ctx.replay,
                 snapshots_per_run=ctx.snapshots_per_run,
+                batch_eval=ctx.batch_eval,
             ),
         )
         engine.golden  # materialize before any capture window
@@ -139,11 +140,11 @@ def run_beam_chunk(ctx: BeamEvalContext, tasks: Sequence[BeamEvalTask]) -> Chunk
     with capture():  # state rebuild must not pollute the shipped snapshot
         engine = _beam_state(ctx)
     factories = _rng_factories(tasks)
-    evals = []
     with capture() as registry:
-        for task in tasks:
-            rng = factories[task.root_seed].stream(*task.rng_path)
-            evals.append(engine.evaluate_detailed(task.resource, rng))
+        # functional-unit strikes go to the golden tape first (with replay
+        # and batch_eval on); the rest run one at a time
+        rngs = [factories[t.root_seed].stream(*t.rng_path) for t in tasks]
+        evals = engine.evaluate_chunk([t.resource for t in tasks], rngs)
     return ChunkResult(evals, registry.snapshot())
 
 

@@ -27,12 +27,25 @@ classifies injections *without executing anything*, in three phases:
    buffer the kernel returns (and that nothing re-reads afterwards) is an
    SDC; a replicated illegal address is a DUE with the same cause string.
 
+Divergent kernels index too.  The simulator computes arithmetic on every
+lane whatever the mask; only the fire lane, loads and stores read it.  So
+the index replays the tape's ``push_mask``/``pop_mask`` calls into a
+per-call active-lane mask: the fire lane is the ``offset``-th *active*
+lane, an inactive lane loads 0 and never faults, stores nothing, and
+"last writer wins" counts active lanes only.
+
+A workload with its own ``compare`` rule is settled only where the rule
+cannot matter: a run whose output bytes equal the golden run's is MASKED
+(provided the rule calls the golden run a match), and a replicated illegal
+address is a DUE.  Every run whose output bytes change falls back.
+
 The contract is the replay contract: **bit-identical or hands off**.  Any
-injection the index cannot prove safe — control faults, masked execution,
-tile values, custom compare rules, unknown call types, dirty addresses
-feeding later writes — is returned unclassified and falls back to the
-ordinary per-injection execution path (restoring any RNG draws made here,
-so the fallback consumes its substream exactly like a vanilla run).
+injection the index cannot prove safe — control faults, a dirty predicate
+reaching the mask stack or the host (``push_mask``/``any``/``count``),
+tile values, unknown call types, dirty addresses feeding later writes — is
+returned unclassified and falls back to the ordinary per-injection
+execution path (restoring any RNG draws made here, so the fallback
+consumes its substream exactly like a vanilla run).
 Records carry the same group/op/bit/detail/due_cause fields and the same
 per-run telemetry (a classified run counts ``count_run_telemetry`` on the
 golden trace, exactly as the replayed run's identical trace would; a DUE
@@ -51,8 +64,10 @@ path with bit-identical results.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import os
+import weakref
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -120,8 +135,9 @@ class _Inj:
 class _TapeIndex:
     """Static per-tape index: emission schedule, value wiring, buffers.
 
-    Built once per captured tape and reused for every chunk; a recapture
-    (``ensure_ticks``) produces a new tape object and invalidates it.
+    Built for each chunk and dropped with it: an evaluator holds no
+    index, so it keeps no tape alive once a recapture (``ensure_ticks``)
+    replaces it.
     """
 
     def __init__(self, tape) -> None:
@@ -140,21 +156,41 @@ class _TapeIndex:
         self.buf_readbacks: Dict[str, List[int]] = {}  # read_buffer calls
         #: buffer name -> host array of the LAST read_buffer (golden final)
         self.final_host: Dict[str, np.ndarray] = {}
+        #: the active-lane mask from call ``mask_starts[k]`` on is
+        #: ``masks[k]`` (None: every lane active), replayed from the tape's
+        #: push_mask/pop_mask calls
+        self.mask_starts: List[int] = [0]
+        self.masks: List[Optional[np.ndarray]] = [None]
+        self._active: Dict[int, np.ndarray] = {}
         self._frozen: Dict[str, Optional[np.ndarray]] = {}
         self._schedules: Dict[str, Any] = {}
         self._argdata: Dict[int, tuple] = {}
 
+        stack: List[Optional[np.ndarray]] = [None]
         ops: List[OpClass] = []
         counts: List[float] = []
         ordinals: List[int] = []
         weights: List[int] = []
         call_of: List[int] = []
         for ci, (name, ret_spec, emits, _state, args_spec) in enumerate(calls):
-            if args_spec is None or name in ("push_mask", "pop_mask"):
-                # kwargs or divergent execution: the all-lanes-active lane
-                # arithmetic below would be wrong — disable the whole tape
+            if args_spec is None:
+                # kwargs: the call's operands are unknown — disable the tape
                 self.ok = False
                 return
+            if name == "push_mask" or name == "pop_mask":
+                if name == "pop_mask":
+                    stack.pop()
+                else:
+                    pred = self._predicate(args_spec)
+                    if pred is None:
+                        self.ok = False
+                        return
+                    top = stack[-1]
+                    if top is None:
+                        top = np.ones(len(pred), dtype=bool)
+                    stack.append(top & pred)
+                self.mask_starts.append(ci + 1)
+                self.masks.append(stack[-1])
             if ret_spec[0] == "v":
                 self.ret_ordinal[ci] = ret_spec[1]
             elif ret_spec[0] == "b":
@@ -201,6 +237,31 @@ class _TapeIndex:
             for space, shape, dtype, _elems, alloc_ci in self.buffers.values()
             if space == "global"
         )
+
+    def _predicate(self, args_spec) -> Optional[np.ndarray]:
+        """The lane data of a push_mask predicate operand (None: opaque)."""
+        if len(args_spec) != 1 or args_spec[0][0] not in ("v", "c"):
+            return None
+        kind, ref = args_spec[0]
+        val = self.tape.newvals[ref] if kind == "v" else self.tape.consts[ref]
+        if val.dtype is not None or val.data.ndim != 1:
+            return None
+        return val.data
+
+    def mask_at(self, ci: int) -> Optional[np.ndarray]:
+        """The active-lane mask call ``ci`` executes under (None: all lanes)."""
+        return self.masks[bisect.bisect_right(self.mask_starts, ci) - 1]
+
+    def active_at(self, ci: int) -> Optional[np.ndarray]:
+        """Active lane numbers at call ``ci``, ascending (None: all lanes)."""
+        k = bisect.bisect_right(self.mask_starts, ci) - 1
+        mask = self.masks[k]
+        if mask is None:
+            return None
+        active = self._active.get(k)
+        if active is None:
+            active = self._active[k] = np.flatnonzero(mask)
+        return active
 
     def span_at(self, ci: int) -> int:
         """Mapped global span in bytes as of call ``ci`` (allocs precede it)."""
@@ -306,12 +367,13 @@ class BatchEvaluator:
     def __init__(self, golden: KernelRun, session) -> None:
         self.golden = golden
         self.session = session
-        self._index: Optional[_TapeIndex] = None
-        #: tape that survived canary validation (see :class:`PendingValidation`).
-        #: Scoped to the validating *process*: kernels can observe ambient
-        #: per-process state (pids, globals), and worker state is inherited
-        #: across fork — each process must earn its own validation.
-        self._validated_tape: Optional[Any] = None
+        #: weak reference to the tape that survived canary validation (see
+        #: :class:`PendingValidation`): a tape superseded by a recapture
+        #: must be freed, not kept alive here.  Scoped to the validating
+        #: *process*: kernels can observe ambient per-process state (pids,
+        #: globals), and worker state is inherited across fork — each
+        #: process must earn its own validation.
+        self._validated_tape: Optional[weakref.ref] = None
         self._validated_pid = -1
         #: a failed validation disables the evaluator for good: the kernel's
         #: Python body observes something the tape cannot record
@@ -326,12 +388,14 @@ class BatchEvaluator:
         tape = getattr(self.session, "_tape", None)
         if tape is None:
             return None
-        index = self._index
-        if index is None or index.tape is not tape:
-            index = self._index = _TapeIndex(tape)
-            if not index.ok:
-                _log.debug("tape not batch-analyzable; chunk falls back")
-        return index if index.ok else None
+        # built per chunk (a few ms even for YOLO's tape) rather than kept:
+        # an engine cache holds many evaluators, and a kept index would
+        # keep its tape alive after a recapture
+        index = _TapeIndex(tape)
+        if not index.ok:
+            _log.debug("tape not batch-analyzable; chunk falls back")
+            return None
+        return index
 
     # -- entry point -----------------------------------------------------------
     def classify(
@@ -340,12 +404,16 @@ class BatchEvaluator:
         tasks: Sequence[Any],
         rngs: Sequence[np.random.Generator],
         records: List[Optional[InjectionRecord]],
+        bitwise: bool,
     ) -> Optional["PendingValidation"]:
         """Fill ``records[j]`` for every injection resolvable on the tape.
 
         Unresolvable entries are left ``None`` (with their RNG streams
-        untouched) for the caller's per-injection fallback.  Caller
-        guarantees the workload uses the default bitwise compare.
+        untouched) for the caller's per-injection fallback.  ``bitwise``
+        says the workload uses the default bitwise compare, so a run whose
+        output bytes change is an SDC.  Otherwise such a run falls back,
+        and the caller guarantees that the workload's compare calls the
+        golden outputs a match, so byte-identical outputs are MASKED.
 
         The tape only records what the kernel routed through the context,
         so a kernel whose Python body branches on ambient state (``ctx.plan``,
@@ -366,8 +434,13 @@ class BatchEvaluator:
         with np.errstate(all="ignore"):
             injs = self._fire_phase(index, groups, tasks, rngs)
             self._propagate(index, injs)
-            filled, classified_runs = self._finalize(index, injs, records)
-        if index.tape is self._validated_tape and self._validated_pid == os.getpid():
+            filled, classified_runs = self._finalize(index, injs, records, bitwise)
+        validated = self._validated_tape
+        if (
+            validated is not None
+            and validated() is index.tape
+            and self._validated_pid == os.getpid()
+        ):
             self._count_classified(classified_runs)
             return None
         if not filled:
@@ -427,8 +500,10 @@ class BatchEvaluator:
             if index.names[ci] == "from_array":
                 continue  # may alias a host array the kernel re-wraps
             start = float(cum[k - 1]) if k else 0.0
-            offset = target - start
-            lane = int(offset)  # all lanes active: active[i] == i
+            offset = int(target - start)
+            # the offset-th active lane, as KernelContext._fire_on_output
+            active = index.active_at(ci)
+            lane = offset if active is None else int(active[offset])
             rng = rngs[j]
             inj = _Inj(j, group, lane, op, 0, rng)
             if val.dtype is None:
@@ -577,7 +652,31 @@ class BatchEvaluator:
         return None
 
     # -- loads/stores -------------------------------------------------------------
+    @staticmethod
+    def _active_only(index: _TapeIndex, ci: int, injs: List[_Inj]) -> List[_Inj]:
+        """The injections whose lane is active at memory call ``ci``.
+
+        An inactive lane's load returns 0 whatever its address (and never
+        faults), and its store writes nothing: a dirty operand there
+        changes nothing, so the injection simply moves on.
+        """
+        mask = index.mask_at(ci)
+        if mask is None:
+            return injs
+        return [inj for inj in injs if mask[inj.lane]]
+
+    @staticmethod
+    def _writers(idx_data: np.ndarray, cell: int, mask: Optional[np.ndarray]) -> np.ndarray:
+        """Lanes that store to ``cell``, ascending: active lanes only."""
+        hits = idx_data == cell
+        if mask is not None:
+            hits &= mask
+        return np.flatnonzero(hits)
+
     def _visit_ld(self, index, ci, args, injs, schedule) -> None:
+        injs = self._active_only(index, ci, injs)
+        if not injs:
+            return
         if len(args) != 2 or args[0][0] != "b":
             self._fallback_all(injs)
             return
@@ -642,6 +741,9 @@ class BatchEvaluator:
                 schedule(inj, ret_o)
 
     def _visit_st(self, index, ci, args, injs) -> None:
+        injs = self._active_only(index, ci, injs)
+        if not injs:
+            return
         if len(args) != 3 or args[0][0] != "b":
             self._fallback_all(injs)
             return
@@ -666,6 +768,7 @@ class BatchEvaluator:
             list(index.buf_writers.get(bname, ())) == [ci]
             and index.names[alloc_ci] == "alloc_zeros"
         )
+        mask = index.mask_at(ci)
         for inj in injs:
             if val_ordinal < 0:
                 self._fallback(inj)
@@ -676,7 +779,7 @@ class BatchEvaluator:
             if idx_ordinal >= 0 and idx_ordinal in inj.dirty:
                 self._misdirected_store(
                     index, ci, inj, bname, idx_entry, val_entry,
-                    dtype, elements, fresh_zero,
+                    dtype, elements, fresh_zero, mask,
                 )
                 continue
             faulty = inj.dirty.get(val_ordinal)
@@ -687,25 +790,29 @@ class BatchEvaluator:
                 idx_data = idx_entry[1]
                 cell = int(idx_data[inj.lane])
                 # duplicate store indices: numpy fancy assignment keeps the
-                # LAST writer — the delta only lands if this lane is it
-                writers = np.flatnonzero(idx_data == cell)
-            else:  # python immediate index: every lane writes the same cell
+                # LAST active writer — the delta only lands if this lane is it
+                last = int(self._writers(idx_data, cell, mask)[-1])
+            else:  # python immediate index: every active lane writes the same cell
                 cell = int(idx_entry[1])
-                writers = np.arange(len(index.tape.newvals[val_ordinal].data))
-            if int(writers[-1]) == inj.lane:
+                active = index.active_at(ci)
+                if active is None:
+                    last = len(index.tape.newvals[val_ordinal].data) - 1
+                else:
+                    last = int(active[-1])
+            if last == inj.lane:
                 inj.deltas.setdefault(bname, {})[cell] = faulty
             # an earlier lane's write is overwritten by the golden last
             # writer: the faulty value never lands — nothing to record
 
     def _misdirected_store(
         self, index, ci, inj, bname, idx_entry, val_entry, dtype, elements,
-        fresh_zero,
+        fresh_zero, mask,
     ) -> None:
         """A store whose *address* operand carries the fault.
 
         Replicates ``st``'s global address resolution exactly: an in-buffer
         faulty index redirects the lane's write (numpy fancy assignment,
-        last-numbered lane wins each cell), an index whose byte address
+        last-numbered active lane wins each cell), an index whose byte address
         leaves the mapped span raises the ``illegal_address`` DUE, and an
         in-span out-of-buffer index corrupts a foreign mapped page — hands
         off, the pool-level damage is outside the tape's model.
@@ -731,7 +838,7 @@ class BatchEvaluator:
         deltas = inj.deltas.setdefault(bname, {})
         # cell g loses this lane's write: the remaining golden writers (or
         # the zero initialization) decide its final content
-        writers_g = np.flatnonzero(idx_data == g)
+        writers_g = self._writers(idx_data, g, mask)
         remaining = writers_g[writers_g != lane]
         deltas[g] = (
             val_data[int(remaining[-1])] if remaining.size
@@ -739,15 +846,17 @@ class BatchEvaluator:
         )
         # cell f gains this lane's write; it only survives when no golden
         # writer with a higher lane number overwrites it
-        writers_f = np.flatnonzero(idx_data == f)
+        writers_f = self._writers(idx_data, f, mask)
         if writers_f.size == 0 or int(writers_f[-1]) < lane:
             deltas[f] = lane_val
 
     # -- phase 3: classification ---------------------------------------------------
     def _finalize(
-        self, index: _TapeIndex, injs: List[Optional[_Inj]], records: List
+        self, index: _TapeIndex, injs: List[Optional[_Inj]], records: List,
+        bitwise: bool,
     ) -> Tuple[List[Tuple[int, _Inj]], int]:
-        """Write records for every resolved injection.
+        """Write records for every resolved injection (an SDC only when the
+        compare is ``bitwise``; otherwise it falls back).
 
         Returns ``(filled, classified_runs)``: the ``(j, inj)`` pairs whose
         records were written (needed to retract them if canary validation
@@ -779,7 +888,7 @@ class BatchEvaluator:
                 filled.append((inj.j, inj))
                 continue
             outcome = self._classify_live(index, inj, golden_outputs)
-            if outcome is None:
+            if outcome is None or (outcome is Outcome.SDC and not bitwise):
                 self._fallback(inj)
                 self.stats["residual"] += 1
                 continue
@@ -882,7 +991,7 @@ class PendingValidation:
         """Compare the canary's vanilla record against the tape prediction."""
         evaluator = self.evaluator
         if actual == self.predicted:
-            evaluator._validated_tape = self.index.tape
+            evaluator._validated_tape = weakref.ref(self.index.tape)
             evaluator._validated_pid = os.getpid()
             evaluator._count_classified(self._classified_runs)
             return True

@@ -322,20 +322,12 @@ class CampaignRunner:
         records: List[Optional[InjectionRecord]] = [None] * len(tasks)
         pending: List[tuple] = []
         batched_compare = type(workload).compare is Workload.compare
-        if self.knobs.replay and self.knobs.batch_eval and batched_compare:
-            validation = target.batch_evaluator().classify(
-                groups, tasks, rngs, records
-            )
-            if validation is not None:
-                # first chunk against this tape: run the canary injection
-                # vanilla and let the evaluator confirm (or retract) the
-                # chunk's tape verdicts against the actual record
-                j = validation.canary
-                task = tasks[j]
-                records[j] = self._inject_once(
-                    workload, groups[task.group], task.target_index, rngs[j]
-                )
-                validation.resolve(records[j], records)
+        target.settle_on_tape(
+            groups, tasks, rngs, records,
+            lambda j: self._inject_once(
+                workload, groups[tasks[j].group], tasks[j].target_index, rngs[j]
+            ),
+        )
         if self.knobs.replay:
             residual = [tasks[j] for j in range(len(tasks)) if records[j] is None]
             if residual:

@@ -18,7 +18,9 @@ owns
 * the :class:`~repro.faultsim.sandbox.InjectionSandbox` and the
   ``WATCHDOG_FACTOR ×`` golden-ticks watchdog budget;
 * the choice between a replayed and a vanilla (``run_kernel``) execution;
-* the DUE/SDC/Masked verdict, with ``due_cause`` and ``contained``.
+* the DUE/SDC/Masked verdict, with ``due_cause`` and ``contained``;
+* settling a chunk of injections on the golden tape, canary included
+  (:meth:`InjectionTarget.settle_on_tape`).
 
 Engines keep only what is their own: how they sample a fault, and how
 they turn a verdict into a record.
@@ -26,12 +28,15 @@ they turn a verdict into a record.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Union
+import functools
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+
+import numpy as np
 
 from repro.arch.devices import DeviceSpec
 from repro.arch.ecc import EccMode
 from repro.faultsim.batch import BatchEvaluator
-from repro.faultsim.outcomes import Outcome, StrikeEval
+from repro.faultsim.outcomes import InjectionRecord, Outcome, StrikeEval
 from repro.faultsim.sandbox import WATCHDOG_FACTOR, InjectionSandbox
 from repro.sim.exceptions import ContainedCrashError, GpuDeviceException
 from repro.sim.injection import InjectionPlan, StorageStrike
@@ -121,6 +126,48 @@ class InjectionTarget:
         if self._batch is None:
             self._batch = BatchEvaluator(self.golden, self.replay_session())
         return self._batch
+
+    @functools.cached_property
+    def _tape_compare(self) -> Optional[bool]:
+        """Which verdicts the golden tape may give: all of them (True) when
+        the workload compares bitwise; only byte-identical runs and
+        illegal-address DUEs (False) under a custom rule that calls the
+        golden outputs a match; none (None) otherwise.  YOLO's rule calls
+        non-finite outputs an SDC, so a golden NaN would keep it off."""
+        workload = self.workload
+        if type(workload).compare is Workload.compare:
+            return True
+        golden = self.golden.outputs
+        if workload.compare(golden, golden) is CompareResult.MATCH:
+            return False
+        return None
+
+    def settle_on_tape(
+        self,
+        groups: Dict[str, Any],
+        tasks: Sequence[Any],
+        rngs: Sequence[np.random.Generator],
+        records: List[Optional[InjectionRecord]],
+        run_canary: Callable[[int], InjectionRecord],
+    ) -> None:
+        """Fill ``records[j]`` for every injection the golden tape settles.
+
+        Needs ``replay`` and ``batch_eval``.  Entries left None, with their
+        RNG streams untouched, are for the caller to run.  The first chunk
+        against a tape holds a canary: ``run_canary(j)`` runs injection
+        ``j`` the ordinary way, and its record confirms or retracts the
+        chunk's tape verdicts.
+        """
+        policy = self.policy
+        if not (policy.replay and policy.batch_eval) or self._tape_compare is None:
+            return
+        validation = self.batch_evaluator().classify(
+            groups, tasks, rngs, records, self._tape_compare
+        )
+        if validation is not None:
+            j = validation.canary
+            records[j] = run_canary(j)
+            validation.resolve(records[j], records)
 
     def execute(
         self,

@@ -109,7 +109,8 @@ class ExecutionPolicy:
       fault site; False forces the vanilla path everywhere,
     * ``snapshots_per_run`` — evenly-spaced snapshots per golden capture,
     * ``batch_eval`` — the vectorized batched fault evaluator
-      (:mod:`repro.faultsim.batch`), with a per-injection fallback for
+      (:mod:`repro.faultsim.batch`) for campaign injections and beam
+      functional-unit strikes, with a per-injection fallback for
       injections outside the analyzable population; False forces
       per-injection evaluation,
     * ``service`` — lease/heartbeat knobs of the fault-tolerant campaign

@@ -14,12 +14,24 @@ suites applies — those record wall-clock seconds, the one thing a faster
 evaluation strategy is supposed to change.
 """
 
+import gc
+import weakref
+
+import numpy as np
 import pytest
 
 from repro.api import ExecutionPolicy, get_workload, run_beam, run_campaign
+from repro.arch.devices import KEPLER_K40C, VOLTA_V100
+from repro.arch.dtypes import DType
 from repro.arch.ecc import EccMode
+from repro.faultsim.campaign import CampaignRunner
+from repro.faultsim.frameworks import NvBitFi
+from repro.faultsim.target import InjectionTarget
+from repro.sim.launch import LaunchConfig
+from repro.sim.replay import ReplaySession
 from repro.store.codec import decode_results, encode_results
 from repro.telemetry import capture
+from repro.workloads.base import CompareResult, Workload, WorkloadSpec
 
 #: (batch_eval, replay, workers) grid; the first entry — per-injection
 #: vanilla execution, serial — is the baseline every other mode must equal.
@@ -50,15 +62,19 @@ def _policy(batch_eval, replay):
 
 
 class TestCampaignEquivalence:
-    @pytest.mark.parametrize("code", ["FMXM", "FGAUSSIAN"])
+    @pytest.mark.parametrize(
+        # NVBitFI reaches YOLO's proprietary libraries on Volta only
+        "arch,code",
+        [("kepler", "FMXM"), ("kepler", "FGAUSSIAN"), ("kepler", "NW"), ("volta", "FYOLOV3")],
+    )
     @pytest.mark.parametrize("ecc", [EccMode.ON, EccMode.OFF])
-    def test_records_due_breakdown_and_telemetry_identical(self, code, ecc):
+    def test_records_due_breakdown_and_telemetry_identical(self, arch, code, ecc):
         def observe(batch_eval, replay, workers):
-            workload = get_workload("kepler", code, seed=11)
+            workload = get_workload(arch, code, seed=11)
             with capture() as registry:
                 result = run_campaign(
                     workload,
-                    device="k40c",
+                    device=arch,
                     framework="nvbitfi",
                     injections=16,
                     seed=11,
@@ -81,10 +97,11 @@ class TestCampaignEquivalence:
 
 
 class TestBeamEquivalence:
+    @pytest.mark.parametrize("code", ["FMXM", "NW", "FYOLOV2"])
     @pytest.mark.parametrize("ecc", [EccMode.ON, EccMode.OFF])
-    def test_tallies_fits_and_telemetry_identical(self, ecc):
+    def test_tallies_fits_and_telemetry_identical(self, code, ecc):
         def observe(batch_eval, replay, workers):
-            workload = get_workload("kepler", "FMXM", seed=7)
+            workload = get_workload("kepler", code, seed=7)
             with capture() as registry:
                 result = run_beam(
                     workload,
@@ -110,7 +127,14 @@ class TestBeamEquivalence:
 
 
 class TestBatchPathEngages:
-    def test_most_injections_skip_per_injection_execution(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "arch,code,at_most",
+        # divergent NW and custom-compare YOLO settle less of the chunk
+        [("kepler", "FMXM", 12), ("kepler", "NW", 16), ("volta", "FYOLOV3", 21)],
+    )
+    def test_most_injections_skip_per_injection_execution(
+        self, monkeypatch, arch, code, at_most
+    ):
         """With batched evaluation on, the per-injection path (``_attempt``)
         runs only for the canary and the residual minority — guaranteeing
         the equivalence suite above compares two genuinely different
@@ -128,10 +152,10 @@ class TestBatchPathEngages:
 
         def run(batch_eval):
             calls["n"] = 0
-            workload = get_workload("kepler", "FMXM", seed=23)
+            workload = get_workload(arch, code, seed=23)
             run_campaign(
                 workload,
-                device="k40c",
+                device=arch,
                 injections=24,
                 seed=23,
                 policy=_policy(batch_eval, True),
@@ -139,7 +163,153 @@ class TestBatchPathEngages:
             return calls["n"]
 
         assert run(False) == 24  # every injection executes individually
-        assert run(True) < 12  # the tape resolves the bulk of the chunk
+        assert run(True) < at_most  # the tape resolves part of the chunk
+
+    def test_beam_op_strikes_settle_on_the_tape(self, monkeypatch):
+        """Beam functional-unit strikes go through the same evaluator:
+        fewer of them reach an injected execution with batch_eval on."""
+        calls = {"n": 0}
+        original = InjectionTarget.inject
+
+        def counting(self, *args, **kwargs):
+            calls["n"] += 1
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(InjectionTarget, "inject", counting)
+
+        def run(batch_eval):
+            calls["n"] = 0
+            run_beam(
+                get_workload("kepler", "NW", seed=7),
+                device="k40c",
+                ecc=EccMode.ON,
+                max_fault_evals=18,
+                seed=7,
+                policy=_policy(batch_eval, True),
+            )
+            return calls["n"]
+
+        assert run(True) < run(False)
+
+
+class _Scaled(Workload):
+    """out = 3·x over 32 lanes: most faults land straight in the output."""
+
+    def __init__(self, seed: int = 0) -> None:
+        super().__init__(
+            WorkloadSpec(name=type(self).__name__, base="custom-compare", dtype=DType.FP32),
+            seed=seed,
+        )
+
+    def _generate_inputs(self, rng) -> None:
+        self.x = rng.random(32).astype(np.float32)
+
+    def sim_launch(self) -> LaunchConfig:
+        return LaunchConfig(1, 32)
+
+    def kernel(self, ctx):
+        self.prepare()
+        x = ctx.alloc("x", self.x, DType.FP32)
+        out = ctx.alloc_zeros("out", (32,), DType.FP32)
+        gid = ctx.global_id()
+        ctx.st(out, gid, ctx.mul(ctx.ld(x, gid), 3.0))
+        return {"out": ctx.read_buffer(out)}
+
+
+class _RejectsAll(_Scaled):
+    """A compare rule that calls every run an SDC, the golden one included."""
+
+    def compare(self, golden, observed):
+        return CompareResult.SDC
+
+
+class _Tolerant(_Scaled):
+    """A compare rule that forgives small deviations, as YOLO's does."""
+
+    def compare(self, golden, observed):
+        close = np.allclose(golden["out"], observed["out"], rtol=1e-3)
+        return CompareResult.MATCH if close else CompareResult.SDC
+
+
+class TestCustomCompareGuard:
+    @staticmethod
+    def _observe(workload_cls, batch_eval):
+        with capture() as registry:
+            result = run_campaign(
+                workload_cls(seed=3), device="k40c", injections=64, seed=3,
+                ecc=EccMode.OFF, policy=_policy(batch_eval, True),
+            )
+        records = [
+            (r.outcome, r.group, r.op, r.bit, r.detail, r.due_cause, r.contained)
+            for r in result.records
+        ]
+        return records, _observable(registry.snapshot())
+
+    @pytest.fixture
+    def settled(self, monkeypatch):
+        """How many records BatchEvaluator.classify filled."""
+        from repro.faultsim.batch import BatchEvaluator
+
+        count = {"n": 0}
+        original = BatchEvaluator.classify
+
+        def counting(self, groups, tasks, rngs, records, *args):
+            validation = original(self, groups, tasks, rngs, records, *args)
+            count["n"] += sum(record is not None for record in records)
+            return validation
+
+        monkeypatch.setattr(BatchEvaluator, "classify", counting)
+        return count
+
+    def test_compare_rejecting_the_golden_run_keeps_the_tape_off(self, settled):
+        assert self._observe(_RejectsAll, True) == self._observe(_RejectsAll, False)
+        assert settled["n"] == 0
+
+    def test_tolerant_compare_settles_only_byte_identical_runs(self, settled):
+        """The tape would call most of these runs SDC by their bytes; the
+        tolerant rule forgives many, so those must run."""
+        assert self._observe(_Tolerant, True) == self._observe(_Tolerant, False)
+        assert settled["n"] > 0
+
+    @pytest.mark.parametrize(
+        "device,arch,code",
+        [
+            (KEPLER_K40C, "kepler", "FYOLOV2"),
+            (KEPLER_K40C, "kepler", "FYOLOV3"),
+            (VOLTA_V100, "volta", "FYOLOV3"),
+            (VOLTA_V100, "volta", "HYOLOV3"),
+        ],
+    )
+    def test_yolo_calls_its_golden_run_a_match(self, device, arch, code):
+        workload = get_workload(arch, code, seed=0)
+        golden = InjectionTarget(device, workload, EccMode.ON, "cuda10").golden.outputs
+        assert workload.compare(golden, golden) is CompareResult.MATCH
+
+
+class TestSupersededTapes:
+    def test_recaptured_tape_is_freed(self, monkeypatch):
+        """Snapshot mining recaptures the tape after a chunk is classified;
+        once the campaign ends, no superseded tape is still alive — not
+        even until cyclic GC runs."""
+        seen = []
+        original = ReplaySession.ensure_ticks
+
+        def recording(self, ticks):
+            before = self._tape
+            original(self, ticks)
+            seen.append((weakref.ref(before), self._tape is not before))
+
+        monkeypatch.setattr(ReplaySession, "ensure_ticks", recording)
+        gc.disable()
+        try:
+            runner = CampaignRunner(
+                KEPLER_K40C, NvBitFi(), EccMode.ON, seed=0, policy=ExecutionPolicy()
+            )
+            runner.run(get_workload("kepler", "NW", seed=0), 40)
+            assert seen and seen[-1][1]  # the last chunk recaptured
+            assert all(ref() is None for ref, _ in seen)
+        finally:
+            gc.enable()
 
 
 class TestRecordCodecRoundTrip:
