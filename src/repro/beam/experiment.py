@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.arch.devices import DeviceSpec
 from repro.arch.ecc import EccMode
+from repro.arch.units import UnitKind
 from repro.beam.cross_sections import CrossSectionCatalog, catalog_for
 from repro.beam.engine import BeamEngine
 from repro.beam.exposure import ExposureProfile, compute_exposure
@@ -41,11 +42,11 @@ from repro.common.stats import Estimate, poisson_rate_estimate
 from repro.common.units import FIT_SCALE_HOURS, TERRESTRIAL_FLUX_N_CM2_H
 from repro.exec.engine import Executor, get_executor
 from repro.exec.tasks import BeamEvalContext, BeamEvalTask, WorkloadHandle, catalog_tag
-from repro.exec.worker import _cached_state, run_beam_chunk
+from repro.exec.worker import dispatch, run_beam_chunk
 from repro.faultsim.outcomes import Outcome, StrikeEval
 from repro.faultsim.uncore import UNCORE_EXCEPTIONS
 from repro.sim.exceptions import EccDoubleBitError
-from repro.store.policy import ExecutionPolicy
+from repro.store.policy import STORELESS, ExecutionPolicy
 from repro.telemetry import get_logger, get_telemetry
 from repro.workloads.base import Workload
 
@@ -152,44 +153,31 @@ class BeamExperiment:
         self.catalog = catalog if catalog is not None else catalog_for(device)
         self.rngs = RngFactory(seed)
         self.executor = get_executor(workers, executor)
-        #: None: no store and no retries; the execution knobs take their defaults
-        self.policy = policy
-        self.knobs = policy or ExecutionPolicy()
+        self.policy = policy or STORELESS
 
     def exposure(self, workload: Workload, ecc: EccMode) -> Tuple[BeamEngine, ExposureProfile]:
         engine = BeamEngine(self.device, workload, self.catalog, ecc, policy=self.policy)
-        profile = compute_exposure(self.device, workload, engine.golden, self.catalog)
+        profile = compute_exposure(
+            self.device, workload, engine.golden, self.catalog, engine.target.footprint_bits
+        )
         return engine, profile
 
     @staticmethod
-    def _analytic_probabilities(
+    def _analytic(
         engine: BeamEngine, resource: str, ecc: EccMode
-    ) -> Optional[Tuple[float, float]]:
-        """(p_sdc, p_due) for resources whose outcome distribution is exact:
-        ECC-protected storage (SECDED corrects all but the MBU fraction) and
-        hidden resources (the catalog mixtures).  Mechanistic resources
-        return None and are sampled by re-execution."""
+    ) -> Optional[Tuple[float, float, str]]:
+        """(p_sdc, p_due, DUE cause) for resources whose outcome
+        distribution is exact: ECC-protected storage (SECDED corrects all
+        but the MBU fraction) and hidden resources (the catalog mixtures).
+        Mechanistic resources return None and are sampled by re-execution."""
         kind, _, name = resource.partition(":")
         if kind == "mem" and ecc is EccMode.ON:
-            return 0.0, engine.secded.mbu_probability
+            return 0.0, engine.secded.mbu_probability, EccDoubleBitError.cause
         if kind == "hidden":
-            from repro.arch.units import UnitKind
-
-            model = engine.catalog.hidden_outcomes[UnitKind(name)]
-            return model.p_sdc, model.p_due
+            unit = UnitKind(name)
+            model = engine.catalog.hidden_outcomes[unit]
+            return model.p_sdc, model.p_due, UNCORE_EXCEPTIONS[unit].cause
         return None
-
-    @staticmethod
-    def _analytic_due_cause(resource: str, ecc: EccMode) -> str:
-        """The DUE cause an analytically-evaluated resource's DUEs carry."""
-        kind, _, name = resource.partition(":")
-        if kind == "mem" and ecc is EccMode.ON:
-            return EccDoubleBitError.cause
-        if kind == "hidden":
-            from repro.arch.units import UnitKind
-
-            return UNCORE_EXCEPTIONS[UnitKind(name)].cause
-        return "unknown"
 
     def _evaluate_all(
         self,
@@ -223,19 +211,15 @@ class BeamExperiment:
             catalog=self.catalog,
             catalog_tag=catalog_tag(self.catalog, self.device),
             workload=WorkloadHandle.wrap(workload),
-            on_crash=self.knobs.on_crash,
-            replay=self.knobs.replay,
-            snapshots_per_run=self.knobs.snapshots_per_run,
-            batch_eval=self.knobs.batch_eval,
+            policy=self.policy.without_store(),
         )
         # reuse this experiment's engine (golden already computed for the
         # exposure profile) in the serial path and fork-spawned children
-        _cached_state(context.cache_key(), lambda: engine)
-        if self.policy is not None:
-            return self.executor.run_chunks(
-                run_beam_chunk, context, tasks, on_result=on_result, policy=self.policy
-            )
-        return self.executor.run_chunks(run_beam_chunk, context, tasks, on_result=on_result)
+        _, evals = dispatch(
+            self.executor, run_beam_chunk, context, tasks, engine, self.policy,
+            on_result=on_result,
+        )
+        return evals
 
     def run(
         self,
@@ -328,17 +312,14 @@ class BeamExperiment:
             mechanistic: Dict[str, float] = {}
             for resource, sigma in sigma_eff.items():
                 expected_faults = fluence * sigma
-                analytic = self._analytic_probabilities(engine, resource, ecc)
+                analytic = self._analytic(engine, resource, ecc)
                 if analytic is not None:
-                    p_sdc, p_due = analytic
+                    p_sdc, p_due, cause = analytic
                     tally = ResourceTally(
                         faults=expected_faults, sdc=expected_faults * p_sdc
                     )
                     if p_due > 0:
-                        tally.add_due(
-                            self._analytic_due_cause(resource, ecc),
-                            expected_faults * p_due,
-                        )
+                        tally.add_due(cause, expected_faults * p_due)
                     tallies[resource] = tally
                 else:
                     mechanistic[resource] = sigma
@@ -380,21 +361,7 @@ class BeamExperiment:
         executions = beam_hours * 3600.0 / max(profile.exec_seconds, 1e-12)
         regime_ok = single_fault_regime_ok(sdc_count + due_count, executions)
 
-        due_breakdown: Dict[str, float] = {}
-        for tally in tallies.values():
-            for cause, weight in tally.due_causes.items():
-                due_breakdown[cause] = due_breakdown.get(cause, 0.0) + weight
-
-        telemetry.point(
-            "beam.result",
-            workload=workload.name,
-            ecc=ecc.value,
-            errors_sdc=sdc_count,
-            errors_due=due_count,
-            due_breakdown=due_breakdown,
-            single_fault_regime=regime_ok,
-        )
-        return BeamResult(
+        result = BeamResult(
             workload=workload.name,
             device=self.device.name,
             ecc=ecc,
@@ -406,3 +373,13 @@ class BeamExperiment:
             exec_seconds=profile.exec_seconds,
             single_fault_regime=regime_ok,
         )
+        telemetry.point(
+            "beam.result",
+            workload=workload.name,
+            ecc=ecc.value,
+            errors_sdc=sdc_count,
+            errors_due=due_count,
+            due_breakdown=result.due_breakdown(),
+            single_fault_regime=regime_ok,
+        )
+        return result

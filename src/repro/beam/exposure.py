@@ -70,8 +70,12 @@ def compute_exposure(
     workload: Workload,
     golden: KernelRun,
     catalog: CrossSectionCatalog,
+    footprint_bits: Mapping[str, int],
 ) -> ExposureProfile:
-    """Build the exposure profile from a golden run's trace."""
+    """Build the exposure profile from a golden run's trace and its
+    allocated bits per memory space (``"shared"``, ``"global"``;
+    :attr:`InjectionTarget.footprint_bits
+    <repro.faultsim.target.InjectionTarget.footprint_bits>`)."""
     trace = golden.trace
     if trace.total_instances <= 0:
         raise ConfigurationError(f"{workload.name}: empty trace has no exposure")
@@ -139,12 +143,12 @@ def compute_exposure(
     storage_sigma_eff = {
         UnitKind.REGISTER_FILE: catalog.bit_sigma[UnitKind.REGISTER_FILE] * rf_bits,
     }
-    shared_bits = golden.context.pool.footprint_bits("shared") if golden.context else 0
+    shared_bits = footprint_bits["shared"]
     if shared_bits:
         storage_sigma_eff[UnitKind.SHARED_MEMORY] = catalog.bit_sigma[
             UnitKind.SHARED_MEMORY
         ] * min(shared_bits * scale, float(device.storage_bits(UnitKind.SHARED_MEMORY)))
-    global_bits = golden.context.pool.footprint_bits("global") if golden.context else 0
+    global_bits = footprint_bits["global"]
     if global_bits:
         storage_sigma_eff[UnitKind.DEVICE_MEMORY] = catalog.bit_sigma[
             UnitKind.DEVICE_MEMORY

@@ -205,27 +205,20 @@ def _bench_sass(runs: int, warmup: int) -> Dict[str, object]:
 
 
 def _clear_worker_state() -> None:
-    """Drop the process-local campaign state cache between bench arms.
-
-    The cache is keyed by campaign context, which does not (and must not —
-    records are knob-independent) include execution knobs such as
-    ``batch_eval``, so without a flush the second arm of an A/B measurement
-    reuses runners the first arm built and the timing no longer isolates
-    the toggled knob."""
+    """Drop the process-local campaign state cache before a bench arm, so
+    the arm builds (and warms up) its own runner instead of timing one an
+    earlier arm left cached."""
     from repro.exec.worker import _STATE_CACHE
 
     _STATE_CACHE.clear()
 
 
-def _bench_campaign(injections: int, warmup: int, seed: int) -> Dict[str, object]:
-    from repro.api import ExecutionPolicy, get_workload, run_campaign
+def _campaign_rate(policy, injections: int, warmup: int, seed: int) -> float:
+    """FMXM/K40c NVBitFI campaign throughput under ``policy``: injections
+    per process-CPU second, best of ``_REPEATS`` after one warm-up."""
+    from repro.api import get_workload, run_campaign
 
-    # replay off: this layer times every injection as a full re-execution
-    # (replay's own win is the `replay` layer, batched evaluation's the
-    # `batch` layer)
-    policy = ExecutionPolicy(replay=False)
     workload = get_workload("kepler", "FMXM", seed=3)
-    _clear_worker_state()
     run_campaign(
         workload, device="k40c", framework="nvbitfi", injections=warmup,
         seed=seed, policy=policy,
@@ -243,41 +236,34 @@ def _bench_campaign(injections: int, warmup: int, seed: int) -> Dict[str, object
                 policy=policy,
             )
             elapsed = min(elapsed, time.process_time() - t0)
-    return {"injections_per_sec": {"fast": round(injections / elapsed, 1)}}
+    return round(injections / elapsed, 1)
+
+
+def _bench_campaign(injections: int, warmup: int, seed: int) -> Dict[str, object]:
+    from repro.api import ExecutionPolicy
+
+    # replay off: this layer times every injection as a full re-execution
+    # (replay's own win is the `replay` layer, batched evaluation's the
+    # `batch` layer)
+    _clear_worker_state()
+    rate = _campaign_rate(ExecutionPolicy(replay=False), injections, warmup, seed)
+    return {"injections_per_sec": {"fast": rate}}
 
 
 def _bench_replay(injections: int, warmup: int, seed: int) -> Dict[str, object]:
     """Campaign throughput with checkpoint/replay on ("fast") vs off
     ("reference") — isolates the replay win the equivalence suite pins to
     bit-identical records."""
-    from repro.api import ExecutionPolicy, get_workload, run_campaign
+    from repro.api import ExecutionPolicy
 
-    out: Dict[str, Dict[str, float]] = {"injections_per_sec": {}}
-    for label, enabled in (("fast", True), ("reference", False)):
-        workload = get_workload("kepler", "FMXM", seed=3)
-        policy = ExecutionPolicy(replay=enabled)
-        run_campaign(
-            workload, device="k40c", framework="nvbitfi", injections=warmup,
-            seed=seed, policy=policy,
-        )
-        elapsed = float("inf")
-        for _ in range(_REPEATS):
-            with _gc_paused():
-                t0 = time.process_time()
-                run_campaign(
-                    workload,
-                    device="k40c",
-                    framework="nvbitfi",
-                    injections=injections,
-                    seed=seed + 1,
-                    policy=policy,
-                )
-                elapsed = min(elapsed, time.process_time() - t0)
-        out["injections_per_sec"][label] = round(injections / elapsed, 1)
-    out["speedup"] = round(
-        out["injections_per_sec"]["fast"] / out["injections_per_sec"]["reference"], 3
-    )
-    return out
+    rates = {
+        label: _campaign_rate(ExecutionPolicy(replay=enabled), injections, warmup, seed)
+        for label, enabled in (("fast", True), ("reference", False))
+    }
+    return {
+        "injections_per_sec": rates,
+        "speedup": round(rates["fast"] / rates["reference"], 3),
+    }
 
 
 #: absolute floor for the batch layer's fast arm: 10x the 1391 inj/s the
@@ -289,36 +275,19 @@ def _bench_batch(injections: int, warmup: int, seed: int) -> Dict[str, object]:
     """Campaign throughput with batched tape evaluation on ("fast") vs off
     ("reference"), checkpoint/replay enabled in both — isolates the win of
     classifying injections on the golden tape without executing them."""
-    from repro.api import ExecutionPolicy, get_workload, run_campaign
+    from repro.api import ExecutionPolicy
 
-    out: Dict[str, Dict[str, float]] = {"injections_per_sec": {}}
+    rates = {}
     for label, enabled in (("fast", True), ("reference", False)):
-        workload = get_workload("kepler", "FMXM", seed=3)
-        policy = ExecutionPolicy(batch_eval=enabled)
         _clear_worker_state()
-        run_campaign(
-            workload, device="k40c", framework="nvbitfi", injections=warmup,
-            seed=seed, policy=policy,
+        rates[label] = _campaign_rate(
+            ExecutionPolicy(batch_eval=enabled), injections, warmup, seed
         )
-        elapsed = float("inf")
-        for _ in range(_REPEATS):
-            with _gc_paused():
-                t0 = time.process_time()
-                run_campaign(
-                    workload,
-                    device="k40c",
-                    framework="nvbitfi",
-                    injections=injections,
-                    seed=seed + 1,
-                    policy=policy,
-                )
-                elapsed = min(elapsed, time.process_time() - t0)
-        out["injections_per_sec"][label] = round(injections / elapsed, 1)
-    out["speedup"] = round(
-        out["injections_per_sec"]["fast"] / out["injections_per_sec"]["reference"], 3
-    )
-    out["target_injections_per_sec"] = _BATCH_TARGET_INJ_PER_SEC
-    return out
+    return {
+        "injections_per_sec": rates,
+        "speedup": round(rates["fast"] / rates["reference"], 3),
+        "target_injections_per_sec": _BATCH_TARGET_INJ_PER_SEC,
+    }
 
 
 #: ceiling on service-mode coordination overhead: the lease-executor arm

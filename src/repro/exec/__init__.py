@@ -1,9 +1,11 @@
 """Parallel campaign execution engine.
 
-Fault-injection campaigns, beam fault evaluations and memory-AVF strike
-sweeps are embarrassingly parallel: every evaluation re-executes the
-workload with one armed fault and classifies the outcome independently.
-This package fans those evaluations out over worker processes:
+Fault-injection campaigns, beam fault evaluations, memory-AVF strike
+sweeps and uncore campaigns are embarrassingly parallel: every evaluation
+re-executes the workload with one armed fault and classifies the outcome
+independently.  This package fans those evaluations out over worker
+processes (CAROL-FI, whose injections share one sequential stream, is
+the one engine that runs serially on its own):
 
 * :mod:`repro.exec.tasks` — picklable task descriptions.  A task names the
   fault site (group + target index, beam resource, or storage strike) and
@@ -18,7 +20,8 @@ This package fans those evaluations out over worker processes:
 * :mod:`repro.exec.worker` — worker-side chunk evaluators with a
   per-process cache, so each worker computes the golden
   :class:`~repro.sim.launch.KernelRun` once per workload instead of once
-  per task.  Evaluators capture their tasks' telemetry into a local
+  per task, and :func:`~repro.exec.worker.dispatch`, the one call every
+  engine drives the executor and the store through.  Evaluators capture their tasks' telemetry into a local
   :class:`~repro.telemetry.metrics.Registry` and ship it back inside a
   :class:`~repro.exec.tasks.ChunkResult`; the executors merge snapshots in
   chunk order, so ``workers=N`` aggregates exactly match a serial run.
@@ -42,6 +45,7 @@ from repro.exec.tasks import (
     InjectionTask,
     MemoryAvfContext,
     StrikeTask,
+    UncoreContext,
     WorkloadHandle,
 )
 
@@ -59,4 +63,5 @@ __all__ = [
     "BeamEvalTask",
     "MemoryAvfContext",
     "StrikeTask",
+    "UncoreContext",
 ]

@@ -10,7 +10,7 @@ Because every task owns a private RNG substream, result values are
 identical across executors and worker counts — the executor choice is
 purely a wall-clock decision.
 
-Durability rides on the optional ``policy=`` argument (a
+Durability rides on the ``policy=`` argument (a
 :class:`~repro.store.policy.ExecutionPolicy`):
 
 * with a store, every chunk is fingerprinted
@@ -27,7 +27,9 @@ Durability rides on the optional ``policy=`` argument (a
 * a worker crash that breaks the process pool (``BrokenProcessPool``)
   rebuilds the pool and resubmits the surviving chunks.
 
-Without a policy the engine behaves exactly as before the store existed.
+The policy defaults to :data:`~repro.store.policy.STORELESS`, what an
+engine's ``policy=None`` stands for: no store, one attempt per chunk, and
+a failing chunk re-raises its own exception.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from repro.common.errors import (
 )
 from repro.exec.tasks import ChunkResult
 from repro.store.fingerprint import chunk_fingerprints, context_kind, context_payload
-from repro.store.policy import ExecutionPolicy
+from repro.store.policy import STORELESS, ExecutionPolicy
 from repro.telemetry import get_telemetry
 from repro.telemetry.metrics import Snapshot
 
@@ -78,10 +80,10 @@ def default_chunksize(n_tasks: int, workers: int) -> int:
 
 
 def _fingerprints(
-    policy: Optional[ExecutionPolicy], context: Any, chunks: Sequence[Sequence[Any]]
-) -> Tuple[Optional[List[str]], Optional[dict]]:
-    """Chunk fingerprints and the context payload they hash when a store is
-    in force, else ``(None, None)``.
+    policy: ExecutionPolicy, context: Any, chunks: Sequence[Sequence[Any]]
+) -> Tuple[List[Optional[str]], Optional[dict], str]:
+    """Chunk fingerprints, the context payload they hash and the record
+    kind when a store is in force, else ``([None, ...], None, "")``.
 
     The payload is built once per call and reused for the record kind and
     every committed chunk's meta.  Fingerprints depend on the chunk
@@ -89,17 +91,18 @@ def _fingerprints(
     same workers/chunksize to hit — the trade-off documented in
     docs/STORAGE.md.
     """
-    if policy is None or policy.store is None:
-        return None, None
+    if policy.store is None:
+        return [None] * len(chunks), None, ""
     payload = context_payload(context)
-    return chunk_fingerprints(context, chunks, payload=payload), payload
+    fingerprints = chunk_fingerprints(context, chunks, payload=payload)
+    return fingerprints, payload, context_kind(context, payload)
 
 
 def _load_cached(
-    policy: Optional[ExecutionPolicy], fingerprint: Optional[str]
+    policy: ExecutionPolicy, fingerprint: Optional[str]
 ) -> Optional[Tuple[List[Any], Optional[Snapshot]]]:
     """Replay one completed chunk from the store, when allowed and present."""
-    if policy is None or fingerprint is None or not policy.read_allowed:
+    if fingerprint is None or not policy.read_allowed:
         return None
     record = policy.store.get(fingerprint)
     if record is None:
@@ -137,7 +140,7 @@ def chunk_meta(payload: dict, chunk: Sequence[Any], sequence: int) -> dict:
 
 
 def _commit(
-    policy: Optional[ExecutionPolicy],
+    policy: ExecutionPolicy,
     fingerprint: Optional[str],
     kind: str,
     payload: Optional[dict],
@@ -147,7 +150,7 @@ def _commit(
     snapshot: Optional[Snapshot],
     attempts: int,
 ) -> None:
-    if policy is None or fingerprint is None or not policy.write_allowed:
+    if fingerprint is None:  # no store
         return
     policy.store.put_chunk(
         fingerprint,
@@ -160,13 +163,13 @@ def _commit(
 
 
 def _quarantine(
-    policy: Optional[ExecutionPolicy],
+    policy: ExecutionPolicy,
     fingerprint: Optional[str],
     kind: str,
     error: BaseException,
     attempts: int,
 ) -> None:
-    if policy is None or fingerprint is None or not policy.write_allowed:
+    if fingerprint is None:  # no store
         return
     policy.store.quarantine(
         fingerprint, kind, f"{type(error).__name__}: {error}", attempts
@@ -177,7 +180,7 @@ def _evaluate_with_retry(
     fn: ChunkFn,
     context: Any,
     chunk: Sequence[Any],
-    policy: Optional[ExecutionPolicy],
+    policy: ExecutionPolicy,
     fingerprint: Optional[str],
     kind: str,
     chunk_index: int,
@@ -189,7 +192,7 @@ def _evaluate_with_retry(
     :class:`ChunkQuarantinedError`; storeless runs re-raise the original
     exception, preserving the historical contract).
     """
-    max_attempts = 1 + (policy.retries if policy is not None else 0)
+    max_attempts = 1 + policy.retries
     telemetry = get_telemetry()
     for attempt in range(1, max_attempts + 1):
         try:
@@ -201,13 +204,13 @@ def _evaluate_with_retry(
             # chunk would fail identically every time, so skip the budget
             if attempt >= max_attempts or getattr(exc, "non_retryable", False):
                 _quarantine(policy, fingerprint, kind, exc, attempt)
-                if policy is not None and policy.store is not None:
+                if policy.store is not None:
                     raise ChunkQuarantinedError(
                         [(chunk_index, fingerprint, f"{type(exc).__name__}: {exc}")]
                     ) from exc
                 raise
             telemetry.count("exec.chunk_retries")
-            if policy is not None and policy.backoff:
+            if policy.backoff:
                 time.sleep(policy.backoff * (2 ** (attempt - 1)))
     raise AssertionError("unreachable")  # pragma: no cover
 
@@ -239,7 +242,7 @@ class Executor(Protocol):
         context: Any,
         tasks: Sequence[Any],
         on_result: ResultHook = None,
-        policy: Optional[ExecutionPolicy] = None,
+        policy: ExecutionPolicy = STORELESS,
     ) -> List[Any]:
         ...
 
@@ -258,15 +261,14 @@ class SerialExecutor:
         context: Any,
         tasks: Sequence[Any],
         on_result: ResultHook = None,
-        policy: Optional[ExecutionPolicy] = None,
+        policy: ExecutionPolicy = STORELESS,
     ) -> List[Any]:
         telemetry = get_telemetry()
         chunks = _chunked(tasks, default_chunksize(len(tasks), self.workers))
-        fingerprints, payload = _fingerprints(policy, context, chunks)
-        kind = context_kind(context, payload) if payload is not None else ""
+        fingerprints, payload, kind = _fingerprints(policy, context, chunks)
         results: List[Any] = []
         for index, chunk in enumerate(chunks):
-            fingerprint = fingerprints[index] if fingerprints is not None else None
+            fingerprint = fingerprints[index]
             cached = _load_cached(policy, fingerprint)
             if cached is not None:
                 chunk_results, snapshot = cached
@@ -339,15 +341,14 @@ class ProcessExecutor:
         context: Any,
         tasks: Sequence[Any],
         on_result: ResultHook = None,
-        policy: Optional[ExecutionPolicy] = None,
+        policy: ExecutionPolicy = STORELESS,
     ) -> List[Any]:
         if not tasks:
             return []
         telemetry = get_telemetry()
         chunksize = self.chunksize or default_chunksize(len(tasks), self.workers)
         chunks = _chunked(tasks, chunksize)
-        fingerprints, payload = _fingerprints(policy, context, chunks)
-        kind = context_kind(context, payload) if payload is not None else ""
+        fingerprints, payload, kind = _fingerprints(policy, context, chunks)
         by_chunk: List[Optional[List[Any]]] = [None] * len(chunks)
         snapshots: List[Optional[Snapshot]] = [None] * len(chunks)
 
@@ -359,15 +360,14 @@ class ProcessExecutor:
 
         to_submit: List[int] = []
         for index in range(len(chunks)):
-            fingerprint = fingerprints[index] if fingerprints is not None else None
-            cached = _load_cached(policy, fingerprint)
+            cached = _load_cached(policy, fingerprints[index])
             if cached is not None:
                 by_chunk[index], snapshots[index] = cached
                 deliver(by_chunk[index])
             else:
                 to_submit.append(index)
 
-        max_attempts = 1 + (policy.retries if policy is not None else 0)
+        max_attempts = 1 + policy.retries
         attempts: Dict[int, int] = {index: 0 for index in to_submit}
         quarantined: List[Tuple[int, Optional[str], str]] = []
         if to_submit:
@@ -387,11 +387,9 @@ class ProcessExecutor:
                         if attempts[index] >= max_attempts or getattr(
                             exc, "non_retryable", False
                         ):
-                            fingerprint = (
-                                fingerprints[index] if fingerprints is not None else None
-                            )
+                            fingerprint = fingerprints[index]
                             _quarantine(policy, fingerprint, kind, exc, attempts[index])
-                            if policy is None or policy.store is None:
+                            if policy.store is None:
                                 # storeless runs keep the historical contract:
                                 # the worker exception propagates directly
                                 for other in pending:
@@ -406,14 +404,8 @@ class ProcessExecutor:
                     else:
                         by_chunk[index] = chunk_results
                         _commit(
-                            policy,
-                            fingerprints[index] if fingerprints is not None else None,
-                            kind,
-                            payload,
-                            chunks[index],
-                            index,
-                            chunk_results,
-                            snapshots[index],
+                            policy, fingerprints[index], kind, payload, chunks[index],
+                            index, chunk_results, snapshots[index],
                             attempts.get(index, 0) + 1,
                         )
                         deliver(chunk_results)
@@ -423,7 +415,7 @@ class ProcessExecutor:
                     # must go to a fresh pool
                     pool = self._rebuild_pool()
                 for index in sorted(retry_indices):
-                    if policy is not None and policy.backoff:
+                    if policy.backoff:
                         time.sleep(policy.backoff * (2 ** (attempts[index] - 1)))
                     pending[pool.submit(fn, context, chunks[index])] = index
         # merge worker metrics in chunk order (not completion order), so the
@@ -520,7 +512,7 @@ class LeaseExecutor:
         context: Any,
         tasks: Sequence[Any],
         on_result: ResultHook = None,
-        policy: Optional[ExecutionPolicy] = None,
+        policy: ExecutionPolicy = STORELESS,
     ) -> List[Any]:
         from repro.service.registry import CampaignRegistry
         from repro.service.worker import ServiceWorker
@@ -528,7 +520,7 @@ class LeaseExecutor:
 
         if not tasks:
             return []
-        if policy is None or policy.store is None:
+        if policy.store is None:
             raise ConfigurationError(
                 "LeaseExecutor requires a policy with a store: the store is "
                 "the coordination medium workers claim chunks through"
@@ -538,8 +530,7 @@ class LeaseExecutor:
         service = self.service if self.service is not None else policy.service
         # always the serial partition — see class docstring
         chunks = _chunked(tasks, default_chunksize(len(tasks), 1))
-        fingerprints, _ = _fingerprints(policy, context, chunks)
-        assert fingerprints is not None
+        fingerprints, _, _ = _fingerprints(policy, context, chunks)
         stale_before = time.time() if policy.refresh else None
 
         by_chunk: List[Optional[List[Any]]] = [None] * len(chunks)
@@ -615,7 +606,7 @@ class LeaseExecutor:
         else:
             cancelled = self._supervise(
                 fn, context, chunks, fingerprints, policy, service,
-                stale_before, deliver_ready, on_worker_chunk,
+                stale_before, fresh, deliver_ready, on_worker_chunk,
             )
 
         store.refresh()
@@ -662,6 +653,7 @@ class LeaseExecutor:
         policy: ExecutionPolicy,
         service: "ServicePolicy",
         stale_before: Optional[float],
+        fresh,
         deliver_ready,
         on_worker_chunk,
     ) -> bool:
@@ -682,11 +674,6 @@ class LeaseExecutor:
         telemetry = get_telemetry()
         store = policy.store
         backend_name = "jsonl" if isinstance(store.backend, JsonlBackend) else "sqlite"
-        policy_spec = {
-            "retries": policy.retries,
-            "backoff": policy.backoff,
-            "on_crash": policy.on_crash,
-        }
         base_id = default_worker_id()
         procs = []
         for index in range(self.workers):
@@ -699,7 +686,7 @@ class LeaseExecutor:
                     args=(
                         str(store.path),
                         backend_name,
-                        policy_spec,
+                        policy.without_store(),
                         service,
                         fn,
                         context,
@@ -720,12 +707,8 @@ class LeaseExecutor:
         cancelled = False
 
         def fresh_terminal(fingerprint: str) -> bool:
-            record = store.backend.get(fingerprint)
-            if record is None:
-                return False
-            if stale_before is not None and record.created < stale_before:
-                return False
-            return record.status in (DONE, QUARANTINED)
+            record = fresh(fingerprint)
+            return record is not None and record.status in (DONE, QUARANTINED)
 
         try:
             while True:
@@ -789,12 +772,8 @@ def get_executor(
     """
     if executor is not None:
         return executor
-    if workers is None or workers == 1:
-        return SerialExecutor()
     if workers == 0:
         workers = os.cpu_count() or 1
-    if workers < 0:
+    if workers is not None and workers < 0:
         raise ConfigurationError("workers must be >= 0")
-    if workers == 1:
-        return SerialExecutor()
-    return ProcessExecutor(workers)
+    return SerialExecutor() if workers in (None, 1) else ProcessExecutor(workers)

@@ -1,8 +1,11 @@
 """Picklable task descriptions for the parallel execution engine.
 
 A *context* describes everything a worker needs to evaluate a whole chunk
-of tasks for one campaign / beam run / strike sweep — the device, the
-workload, the ECC mode, the root seed.  It is pickled once per chunk.  A
+of tasks for one campaign / beam run / strike sweep / uncore campaign —
+the device, the workload, the ECC mode, the root seed, and the run's
+:class:`~repro.store.policy.ExecutionPolicy` without its store.  It is
+pickled once per chunk, and its ``store_payload()`` is the durable
+description the store fingerprints (:mod:`repro.store.fingerprint`).  A
 *task* is one fault evaluation within that context; it is tiny (a site
 reference plus an RNG name path) so dispatch overhead stays small.
 
@@ -19,10 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
+from repro.store.fingerprint import canonical, canonical_json
+from repro.store.policy import STORELESS, ExecutionPolicy
 from repro.telemetry.metrics import Snapshot
 
 if TYPE_CHECKING:  # domain types only; runtime imports would be circular
     from repro.arch.devices import DeviceSpec
+    from repro.arch.uncore import UncoreFitTable
     from repro.beam.cross_sections import CrossSectionCatalog
     from repro.faultsim.frameworks import InjectorFramework
     from repro.workloads.base import Workload
@@ -65,8 +71,33 @@ class WorkloadHandle:
         return cls(workload, (cls_path, workload.spec.name, workload.seed))
 
 
+class _ChunkContext:
+    """What the engine contexts share: a device, a workload and the run's
+    policy without its store.  Every policy knob the worker-cached state is
+    built with keys the cache (a runner cached replay-off must not serve a
+    replay-on chunk); only ``on_crash`` enters the store payload, because
+    the others give bit-identical results."""
+
+    def _key(self, kind: str, *fields) -> tuple:
+        policy = self.policy
+        return (
+            kind, self.device.name, *fields, self.workload.fingerprint,
+            policy.on_crash, policy.replay, policy.snapshots_per_run, policy.batch_eval,
+        )
+
+    def _payload(self, kind: str, **fields) -> dict:
+        return {
+            "kind": kind,
+            "device": self.device.name,
+            "arch": self.device.architecture,
+            "workload": list(self.workload.fingerprint),
+            "on_crash": self.policy.on_crash,
+            **fields,
+        }
+
+
 @dataclass(frozen=True)
-class CampaignContext:
+class CampaignContext(_ChunkContext):
     """Chunk context for injection-campaign tasks."""
 
     device: DeviceSpec
@@ -74,30 +105,15 @@ class CampaignContext:
     ecc: str                       # EccMode.value
     root_seed: int
     workload: WorkloadHandle
-    #: sandbox crash policy; rides in the context because the
-    #: ExecutionPolicy (and its store handle) never travels to worker
-    #: processes
-    on_crash: str = "due"
-    #: checkpoint/replay knobs (see repro.sim.replay).  Part of the cache
-    #: key — a cached runner built replay-off must not serve a replay-on
-    #: chunk — but deliberately NOT part of the store fingerprint: replay
-    #: on/off produces bit-identical records, so cached chunks stay valid
-    #: across the setting.  batch_eval follows the same contract.
-    replay: bool = True
-    snapshots_per_run: int = 16
-    batch_eval: bool = True
+    policy: ExecutionPolicy = STORELESS
 
     def cache_key(self) -> tuple:
-        return (
-            "campaign",
-            self.device.name,
-            self.framework.name,
-            self.ecc,
-            self.workload.fingerprint,
-            self.on_crash,
-            self.replay,
-            self.snapshots_per_run,
-            self.batch_eval,
+        return self._key("campaign", self.framework.name, self.ecc)
+
+    def store_payload(self) -> dict:
+        return self._payload(
+            "campaign", framework=self.framework.name, backend=self.framework.backend,
+            ecc=self.ecc, root_seed=self.root_seed,
         )
 
 
@@ -107,7 +123,8 @@ class InjectionTask:
 
     The site group is referenced by *name* (SiteGroup stream predicates are
     closures and do not pickle); the worker rebuilds the framework's groups
-    and resolves the name locally.
+    and resolves the name locally.  Uncore tasks name the struck unit
+    (``uncore:<unit>``) and leave ``target_index`` at 0.
     """
 
     index: int                     # ordinal within the campaign
@@ -118,7 +135,7 @@ class InjectionTask:
 
 
 @dataclass(frozen=True)
-class BeamEvalContext:
+class BeamEvalContext(_ChunkContext):
     """Chunk context for beam fault evaluations."""
 
     device: DeviceSpec
@@ -127,25 +144,14 @@ class BeamEvalContext:
     catalog: CrossSectionCatalog
     catalog_tag: str               # distinguishes non-default catalogs
     workload: WorkloadHandle
-    on_crash: str = "due"
-    #: checkpoint/replay knobs (cache key only; see CampaignContext).
-    #: batch_eval lets the golden tape settle functional-unit strikes
-    replay: bool = True
-    snapshots_per_run: int = 16
-    batch_eval: bool = True
+    policy: ExecutionPolicy = STORELESS
 
     def cache_key(self) -> tuple:
-        return (
-            "beam",
-            self.device.name,
-            self.ecc,
-            self.backend,
-            self.catalog_tag,
-            self.workload.fingerprint,
-            self.on_crash,
-            self.replay,
-            self.snapshots_per_run,
-            self.batch_eval,
+        return self._key("beam", self.ecc, self.backend, self.catalog_tag)
+
+    def store_payload(self) -> dict:
+        return self._payload(
+            "beam", ecc=self.ecc, backend=self.backend, catalog=canonical(self.catalog)
         )
 
 
@@ -160,22 +166,19 @@ class BeamEvalTask:
 
 
 @dataclass(frozen=True)
-class MemoryAvfContext:
+class MemoryAvfContext(_ChunkContext):
     """Chunk context for Eq. 3 memory-AVF storage strikes (ECC OFF)."""
 
     device: DeviceSpec
     backend: str
     workload: WorkloadHandle
-    on_crash: str = "due"
+    policy: ExecutionPolicy = STORELESS
 
     def cache_key(self) -> tuple:
-        return (
-            "mem_avf",
-            self.device.name,
-            self.backend,
-            self.workload.fingerprint,
-            self.on_crash,
-        )
+        return self._key("mem_avf", self.backend)
+
+    def store_payload(self) -> dict:
+        return self._payload("mem_avf", backend=self.backend)
 
 
 @dataclass(frozen=True)
@@ -187,6 +190,24 @@ class StrikeTask:
     tick: float
     root_seed: int
     rng_path: RngPath
+
+
+@dataclass(frozen=True)
+class UncoreContext(_ChunkContext):
+    """Chunk context for uncore-injector tasks (:class:`InjectionTask` s
+    whose group names the unit, ``uncore:<unit>``)."""
+
+    device: DeviceSpec
+    ecc: str                       # EccMode.value
+    table: UncoreFitTable
+    workload: WorkloadHandle
+    policy: ExecutionPolicy = STORELESS
+
+    def cache_key(self) -> tuple:
+        return self._key("uncore", self.ecc, canonical_json(self.table))
+
+    def store_payload(self) -> dict:
+        return self._payload("uncore", ecc=self.ecc, table=canonical(self.table))
 
 
 def catalog_tag(catalog: "CrossSectionCatalog", device: "DeviceSpec") -> str:

@@ -38,7 +38,7 @@ from repro.common.errors import InjectionError
 from repro.common.rng import RngFactory
 from repro.exec.engine import Executor, get_executor
 from repro.exec.tasks import CampaignContext, InjectionTask, WorkloadHandle
-from repro.exec.worker import _cached_state, run_injection_chunk
+from repro.exec.worker import dispatch, run_injection_chunk
 from repro.faultsim.frameworks import InjectorFramework, SiteGroup
 from repro.faultsim.outcomes import CampaignResult, InjectionRecord, Outcome, StrikeEval
 from repro.faultsim.target import InjectionTarget, outcome_of
@@ -48,7 +48,7 @@ from repro.sim.replay import ReplaySession
 from repro.store.backends import DONE, ChunkRecord
 from repro.store.codec import decode_results, encode_results
 from repro.store.fingerprint import chunk_fingerprints
-from repro.store.policy import ExecutionPolicy
+from repro.store.policy import STORELESS, ExecutionPolicy
 from repro.telemetry import get_telemetry
 from repro.workloads.base import CompareResult, Workload
 
@@ -109,6 +109,23 @@ def _count(records) -> None:
         telemetry.count(group_key)
 
 
+class _TapeStore:
+    """The store a runner's replay tapes load from and save to: the one of
+    the run it currently serves.  A runner the worker state cache keeps
+    serves every later run of its context in this process, and each run
+    points it at its own store (:meth:`serve`)."""
+
+    def __init__(self, policy: ExecutionPolicy) -> None:
+        self.serve(policy)
+
+    def serve(self, policy: ExecutionPolicy) -> None:
+        self.policy = policy
+        #: the process that owns the policy's store handle: a pool worker
+        #: forked with the runner in its state cache must not read through
+        #: the inherited handle (a SQLite connection does not survive fork)
+        self.pid = os.getpid()
+
+
 class CampaignRunner:
     """Runs fault-injection campaigns for one (device, framework) pair."""
 
@@ -128,16 +145,11 @@ class CampaignRunner:
         self.rngs = RngFactory(seed)
         self.ecc = ecc
         self.executor = get_executor(workers, executor)
-        #: None: no store and no retries; the execution knobs take their defaults
-        self.policy = policy
-        self.knobs = policy or ExecutionPolicy()
+        self.policy = policy or STORELESS
         #: one injection target per workload name
         self._targets: Dict[str, InjectionTarget] = {}
         self._secded = SecdedModel(mode=ecc)
-        #: the process that owns the policy's store handle: a pool worker
-        #: forked with this runner in its state cache must not read through
-        #: the inherited handle (a SQLite connection does not survive fork)
-        self._store_pid = os.getpid()
+        self._tapes = _TapeStore(self.policy)
 
     # -- injection targets ------------------------------------------------------
     def _target(self, workload: Workload) -> InjectionTarget:
@@ -154,14 +166,11 @@ class CampaignRunner:
                 workload,
                 self.ecc,
                 self.framework.backend,
-                self.knobs,
+                self.policy,
                 # no reference back to the runner: one the worker state
                 # cache evicts is freed at once, golden run and all
                 on_session=functools.partial(
-                    self._load_session_state,
-                    self.policy,
-                    self._store_pid,
-                    self.campaign_context(workload),
+                    self._load_session_state, self._tapes, self.campaign_context(workload)
                 ),
             )
         return target
@@ -211,7 +220,7 @@ class CampaignRunner:
         plan = None
         strikes: Sequence[StorageStrike] = ()
         if group.mode is InjectionMode.REGISTER_FILE:
-            if self.knobs.replay and self.ecc is EccMode.ON:
+            if self.policy.replay and self.ecc is EccMode.ON:
                 # Analytic shortcut: an ECC-ON RF strike never needs a
                 # re-execution.  SECDED either corrects the flip (the run is
                 # then the golden run, bit for bit) or detects a double-bit
@@ -328,7 +337,7 @@ class CampaignRunner:
                 workload, groups[tasks[j].group], tasks[j].target_index, rngs[j]
             ),
         )
-        if self.knobs.replay:
+        if self.policy.replay:
             residual = [tasks[j] for j in range(len(tasks)) if records[j] is None]
             if residual:
                 self._mine_fault_ticks(target, groups, residual)
@@ -403,24 +412,20 @@ class CampaignRunner:
             "replay_session": workload.name,
             # a constant: kept so stored tapes keep their fingerprints
             "fast_path": True,
-            "snapshots_per_run": context.snapshots_per_run,
+            "snapshots_per_run": context.policy.snapshots_per_run,
         }
         return chunk_fingerprints(context, [[descriptor]])[0]
 
     @staticmethod
     def _load_session_state(
-        policy: Optional[ExecutionPolicy],
-        store_pid: int,
-        context: CampaignContext,
-        session: ReplaySession,
+        tapes: "_TapeStore", context: CampaignContext, session: ReplaySession
     ) -> None:
-        if policy is None or not policy.read_allowed or os.getpid() != store_pid:
+        policy = tapes.policy
+        if not policy.read_allowed or os.getpid() != tapes.pid:
             return
         workload = context.workload.workload
         fingerprint = CampaignRunner._session_fingerprint(context, workload)
         try:
-            # this runner may serve chunks of a later run from the worker
-            # state cache, after its own store was closed
             record = policy.store.backend.get(fingerprint)
             if record is None or record.status != DONE or not record.payload:
                 return
@@ -430,8 +435,8 @@ class CampaignRunner:
         session.import_state(payload)
 
     def _save_session_state(self, context: CampaignContext, workload: Workload) -> None:
-        policy = self.policy
-        if policy is None or not policy.write_allowed:
+        policy = self._tapes.policy
+        if not policy.write_allowed:
             return
         session = self._target(workload).session
         if session is None:
@@ -506,10 +511,7 @@ class CampaignRunner:
             ecc=self.ecc.value,
             root_seed=self.rngs.root_seed,
             workload=WorkloadHandle.wrap(workload),
-            on_crash=self.knobs.on_crash,
-            replay=self.knobs.replay,
-            snapshots_per_run=self.knobs.snapshots_per_run,
-            batch_eval=self.knobs.batch_eval,
+            policy=self.policy.without_store(),
         )
 
     def run(
@@ -536,29 +538,28 @@ class CampaignRunner:
         ):
             tasks = self.plan_tasks(workload, injections)
             context = self.campaign_context(workload)
-            # pre-seed the process-local worker cache with *this* runner so the
-            # serial executor (and fork-spawned children) reuse the golden run
-            # already computed for site sizing
             groups = {g.name: g for g in self.framework.site_groups(workload)}
-            _cached_state(context.cache_key(), lambda: (self, workload, groups))
-            if self.knobs.replay and self.executor.workers > 1:
-                # pool workers fork with this runner but may not read the
-                # store: import a stored tape here, before the pool starts,
-                # so a partial resume does not re-capture it in every worker
-                self._target(workload).replay_session()
-            # policy= only when set: custom Executor implementations without
-            # the kwarg keep working when no durability was requested
-            if self.policy is not None:
-                records = self.executor.run_chunks(
-                    run_injection_chunk, context, tasks,
-                    on_result=on_result, policy=self.policy,
-                )
-            else:
-                records = self.executor.run_chunks(
-                    run_injection_chunk, context, tasks, on_result=on_result
-                )
-            if self.knobs.replay:
-                self._save_session_state(context, workload)
+
+            def prepare(state) -> None:
+                # the runner that evaluates (one an earlier run of this
+                # context left cached keeps serving, tape and all) loads
+                # and saves its tape through this run's store
+                runner = state[0]
+                runner._tapes.serve(self.policy)
+                if self.policy.replay and self.executor.workers > 1:
+                    # pool workers fork with this runner but may not read
+                    # the store: import a stored tape here, before the pool
+                    # starts, so a partial resume does not re-capture it in
+                    # every worker
+                    runner._target(workload).replay_session()
+
+            (runner, _, _), records = dispatch(
+                self.executor, run_injection_chunk, context, tasks,
+                (self, workload, groups), self.policy,
+                on_result=on_result, prepare=prepare,
+            )
+            if self.policy.replay:
+                runner._save_session_state(context, workload)
             result = CampaignResult(
                 workload=workload.name, framework=self.framework.name, device=self.device.name
             )

@@ -10,7 +10,9 @@ run's is an **SDC**, anything else is **Masked**.
 workload, ECC, backend, :class:`~repro.store.policy.ExecutionPolicy`) it
 owns
 
-* the golden run, computed on first use;
+* the golden run, computed on first use, and its allocated bits per
+  memory space (:attr:`InjectionTarget.footprint_bits`) — read once, so
+  the golden run's context (memory pool, register ring) is then dropped;
 * the :class:`~repro.sim.replay.ReplaySession` and the batched evaluator
   over its tape, created on first use (an ``on_session`` hook lets the
   campaign seed a new session from a stored tape, so a fully warm run
@@ -42,7 +44,7 @@ from repro.sim.exceptions import ContainedCrashError, GpuDeviceException
 from repro.sim.injection import InjectionPlan, StorageStrike
 from repro.sim.launch import KernelRun, run_kernel
 from repro.sim.replay import ReplaySession
-from repro.store.policy import ExecutionPolicy
+from repro.store.policy import STORELESS, ExecutionPolicy
 from repro.telemetry import get_logger
 from repro.workloads.base import CompareResult, Workload
 
@@ -76,11 +78,14 @@ class InjectionTarget:
         self.workload = workload
         self.ecc = ecc
         self.backend = backend
-        self.policy = policy or ExecutionPolicy()
+        self.policy = policy or STORELESS
         self.sandbox = InjectionSandbox(self.policy.on_crash)
         self.golden_ecc = ecc if golden_ecc is None else golden_ecc
         self._on_session = on_session
         self._golden: Optional[KernelRun] = None
+        #: allocated bits per memory space ("shared", "global") of the
+        #: golden run; filled with it
+        self.footprint_bits: Dict[str, int] = {}
         #: the replay session; None until an injected run first needs it
         self.session: Optional[ReplaySession] = None
         self._batch: Optional[BatchEvaluator] = None
@@ -92,13 +97,19 @@ class InjectionTarget:
                 "computing golden run: %s on %s (ecc=%s)",
                 self.workload.name, self.device.name, self.golden_ecc.value,
             )
-            self._golden = run_kernel(
+            golden = run_kernel(
                 self.device,
                 self.workload.kernel,
                 self.workload.sim_launch(),
                 ecc=self.golden_ecc,
                 backend=self.backend,
             )
+            pool = golden.context.pool
+            self.footprint_bits = {
+                space: pool.footprint_bits(space) for space in ("shared", "global")
+            }
+            golden.context = None  # the only later reader was the footprint
+            self._golden = golden
         return self._golden
 
     def replay_session(self) -> ReplaySession:

@@ -28,11 +28,17 @@ to exactly those structures (§VII-B, Fig. 6 and the NSREC'21 follow-up).
 Every mechanistic replay is an injected run of the shared
 :class:`~repro.faultsim.target.InjectionTarget`, so it is sandboxed,
 watchdog-limited and classified like any other injection.
+
+Campaigns are dispatched through :mod:`repro.exec` like the SASSIFI/NVBitFI
+ones: the units are drawn up front from one parent stream, and each
+injection draws the rest from a private substream named after its ordinal,
+so results are bit-identical for any ``workers=`` setting and resume from
+a store.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Type
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -42,6 +48,9 @@ from repro.arch.uncore import UncoreFitTable, uncore_table
 from repro.arch.units import UnitKind
 from repro.common.errors import InjectionError
 from repro.common.rng import RngFactory
+from repro.exec.engine import Executor, get_executor
+from repro.exec.tasks import InjectionTask, UncoreContext, WorkloadHandle
+from repro.exec.worker import dispatch, run_uncore_chunk
 from repro.faultsim.outcomes import CampaignResult, InjectionRecord, Outcome
 from repro.faultsim.target import InjectionTarget
 from repro.sim.exceptions import (
@@ -59,7 +68,7 @@ from repro.sim.injection import (
     gpr_write_stream,
 )
 from repro.sim.launch import KernelRun
-from repro.store.policy import ExecutionPolicy
+from repro.store.policy import STORELESS, ExecutionPolicy
 from repro.telemetry import get_telemetry
 from repro.workloads.base import Workload
 
@@ -82,6 +91,7 @@ _SDC_SPACE = {
 
 _UNITS = tuple(UNCORE_EXCEPTIONS)
 _GROUP_NAMES = {unit: f"uncore:{unit.value}" for unit in _UNITS}
+_GROUP_UNITS = {name: unit for unit, name in _GROUP_NAMES.items()}
 
 
 def uncore_due_cause(unit: UnitKind) -> str:
@@ -105,13 +115,16 @@ class UncoreInjector:
         seed: int = 0,
         ecc: EccMode = EccMode.ON,
         table: Optional[UncoreFitTable] = None,
+        workers: int = 1,
+        executor: Optional[Executor] = None,
         policy: Optional[ExecutionPolicy] = None,
     ) -> None:
         self.device = device
         self.rngs = RngFactory(seed)
         self.ecc = ecc
         self.table = table if table is not None else uncore_table(device.architecture)
-        self.policy = policy
+        self.executor = get_executor(workers, executor)
+        self.policy = policy or STORELESS
         self._targets: Dict[str, InjectionTarget] = {}
 
     # -- golden ---------------------------------------------------------------
@@ -150,16 +163,21 @@ class UncoreInjector:
             for unit in _UNITS
         }
 
-    # -- one injection --------------------------------------------------------
-    def inject_once(
-        self, workload: Workload, unit: UnitKind, rng: np.random.Generator
-    ) -> InjectionRecord:
-        record = self._inject_once(workload, unit, rng)
+    # -- one chunk ------------------------------------------------------------
+    def inject_tasks(
+        self, workload: Workload, tasks: Sequence[InjectionTask], rngs: Sequence
+    ) -> List[InjectionRecord]:
+        """Planned injections, each into the unit its group names."""
         telemetry = get_telemetry()
-        telemetry.count("uncore.injections")
-        telemetry.count(f"uncore.outcome.{record.outcome.value}")
-        telemetry.count(f"uncore.unit.{unit.value}")
-        return record
+        records = []
+        for task, rng in zip(tasks, rngs):
+            unit = _GROUP_UNITS[task.group]
+            record = self._inject_once(workload, unit, rng)
+            telemetry.count("uncore.injections")
+            telemetry.count(f"uncore.outcome.{record.outcome.value}")
+            telemetry.count(f"uncore.unit.{unit.value}")
+            records.append(record)
+        return records
 
     def _inject_once(
         self, workload: Workload, unit: UnitKind, rng: np.random.Generator
@@ -223,14 +241,31 @@ class UncoreInjector:
         if not (p > 0).any():
             raise InjectionError(f"no active uncore units for {workload.name}")
         p = p / p.sum()
-        rng = self.rngs.stream("uncore", self.device.name, workload.name)
-        choices = rng.choice(len(units), size=injections, p=p)
+        names = ("uncore", self.device.name, workload.name)
+        choices = self.rngs.stream(*names).choice(len(units), size=injections, p=p)
+        tasks = [
+            InjectionTask(
+                index=i,
+                group=_GROUP_NAMES[units[int(choices[i])]],
+                target_index=0,
+                root_seed=self.rngs.root_seed,
+                rng_path=(*names, "task", i),
+            )
+            for i in range(injections)
+        ]
+        context = UncoreContext(
+            device=self.device,
+            ecc=self.ecc.value,
+            table=self.table,
+            workload=WorkloadHandle.wrap(workload),
+            policy=self.policy.without_store(),
+        )
+        _, records = dispatch(
+            self.executor, run_uncore_chunk, context, tasks, (self, workload), self.policy
+        )
         result = CampaignResult(
             workload=workload.name, framework=self.name, device=self.device.name
         )
-        for i in range(injections):
-            task_rng = self.rngs.stream(
-                "uncore", self.device.name, workload.name, "task", i
-            )
-            result.add(self.inject_once(workload, units[int(choices[i])], task_rng))
+        for record in records:
+            result.add(record)
         return result

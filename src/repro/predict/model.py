@@ -40,12 +40,12 @@ from repro.common.errors import ConfigurationError
 from repro.common.rng import RngFactory
 from repro.exec.engine import Executor, get_executor
 from repro.exec.tasks import MemoryAvfContext, StrikeTask, WorkloadHandle
-from repro.exec.worker import _cached_state, memory_avf_target, run_strike_chunk
+from repro.exec.worker import dispatch, memory_avf_target, run_strike_chunk
 from repro.faultsim.outcomes import CampaignResult, Outcome
 from repro.profiling.metrics import KernelMetrics
 from repro.profiling.profiler import Profiler
 from repro.sim.launch import run_kernel
-from repro.store.policy import ExecutionPolicy
+from repro.store.policy import STORELESS, ExecutionPolicy
 from repro.telemetry import get_logger, get_telemetry
 from repro.workloads.base import Workload
 
@@ -167,6 +167,7 @@ def measure_memory_avf(
     """
     if strikes <= 0:
         raise ConfigurationError("need at least one strike")
+    policy = policy or STORELESS
     telemetry = get_telemetry()
     with telemetry.span(
         "memory_avf", workload=workload.name, device=device.name, strikes=strikes
@@ -175,7 +176,7 @@ def measure_memory_avf(
         rng = RngFactory(seed).stream("mem_avf", *names)
         context = MemoryAvfContext(
             device=device, backend=backend, workload=WorkloadHandle.wrap(workload),
-            on_crash=(policy or ExecutionPolicy()).on_crash,
+            policy=policy.without_store(),
         )
         target = memory_avf_target(context)
         ticks = rng.integers(0, max(1, int(target.golden.ticks)), size=strikes)
@@ -190,14 +191,10 @@ def measure_memory_avf(
             for i in range(strikes)
         ]
         # reuse this golden run in the serial path and fork-spawned children
-        _cached_state(context.cache_key(), lambda: target)
-        pool = get_executor(workers, executor)
-        if policy is not None:
-            outcomes = pool.run_chunks(
-                run_strike_chunk, context, tasks, on_result=on_result, policy=policy
-            )
-        else:
-            outcomes = pool.run_chunks(run_strike_chunk, context, tasks, on_result=on_result)
+        _, outcomes = dispatch(
+            get_executor(workers, executor), run_strike_chunk, context, tasks,
+            target, policy, on_result=on_result,
+        )
     sdc = sum(1 for o in outcomes if o is Outcome.SDC)
     due = sum(1 for o in outcomes if o is Outcome.DUE)
     _log.debug(

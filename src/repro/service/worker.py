@@ -41,7 +41,7 @@ import json
 import os
 import signal
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, List, Optional, Sequence
 
 from repro.common.errors import ChunkQuarantinedError, StoreError
@@ -273,7 +273,7 @@ class ServiceWorker:
 def service_child_main(
     store_path: str,
     store_backend: str,
-    policy_spec: dict,
+    policy: ExecutionPolicy,
     service: ServicePolicy,
     fn: Callable[[Any, Sequence[Any]], Any],
     context: Any,
@@ -290,21 +290,17 @@ def service_child_main(
     inherits the parent's active context — including any open trace-file
     sink — and must never write into it; chunk telemetry travels through
     committed snapshots instead), then opens its own store handle and
-    drains.  Exit code 0 covers both "drained" and "cancelled"; anything
-    else is a worker failure the supervising parent counts as a death.
+    drains.  ``policy`` is the run's policy without its store; the child
+    puts its own handle in.  Exit code 0 covers both "drained" and
+    "cancelled"; anything else is a worker failure the supervising parent
+    counts as a death.
     """
     set_telemetry(Telemetry())
     store = open_store(store_path, backend=store_backend)
     try:
-        policy = ExecutionPolicy(
-            store=store,
-            retries=int(policy_spec["retries"]),
-            backoff=float(policy_spec["backoff"]),
-            on_crash=policy_spec["on_crash"],
-        )
         worker = ServiceWorker(
             store,
-            policy,
+            replace(policy, store=store),
             service,
             worker_id=worker_id,
             campaign=campaign,

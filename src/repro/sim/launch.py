@@ -52,11 +52,11 @@ class KernelRun:
 
     outputs: Dict[str, np.ndarray]
     trace: ExecutionTrace
+    #: the run's final tick (its length in emitted lane-operations)
+    ticks: float = 0.0
+    #: the finished context, memory pool and registers included; a holder
+    #: that keeps the run may drop it once it has read what it needs
     context: Optional[KernelContext] = field(repr=False, default=None)
-
-    @property
-    def ticks(self) -> float:
-        return self.context.tick if self.context is not None else 0.0
 
 
 def run_kernel(
@@ -98,7 +98,7 @@ def run_kernel(
         raise ConfigurationError("kernels must return a dict of named outputs")
     trace = ctx.trace  # flushes the batched trace accounting
     count_run_telemetry(trace)
-    return KernelRun(outputs=outputs, trace=trace, context=ctx)
+    return KernelRun(outputs=outputs, trace=trace, ticks=ctx.tick, context=ctx)
 
 
 def count_run_telemetry(trace: ExecutionTrace, runs: int = 1) -> None:

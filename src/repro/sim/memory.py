@@ -108,10 +108,6 @@ class MemoryPool:
                 return buffer
         raise ConfigurationError(f"no buffer named {name!r}")
 
-    @property
-    def total_bytes(self) -> int:
-        return sum(b.nbytes for b in self._buffers)
-
     #: page granularity for the mapped-span model (CUDA allocations are
     #: padded to large pages; accesses inside the padding do not fault)
     PAGE_BYTES = 64 * 1024

@@ -1132,7 +1132,7 @@ class ReplaySession:
             raise ConfigurationError("kernels must return a dict of named outputs")
         trace = ctx.trace  # flushes batched accounting, as run_kernel does
         count_run_telemetry(trace)
-        return KernelRun(outputs=outputs, trace=trace, context=ctx)
+        return KernelRun(outputs=outputs, trace=trace, ticks=ctx.tick, context=ctx)
 
     # -- store integration ------------------------------------------------------
     def export_state(self) -> Optional[dict]:

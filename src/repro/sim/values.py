@@ -43,9 +43,6 @@ class Val:
     def is_predicate(self) -> bool:
         return self.dtype is None
 
-    def copy_data(self) -> np.ndarray:
-        return self.data.copy()
-
     def _ensure_writable(self) -> None:
         """Copy-on-write: registers restored from a replay tape share the
         tape's frozen arrays; the first mutation rebinds this Val (and only

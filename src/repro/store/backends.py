@@ -124,14 +124,13 @@ class SQLiteBackend:
         with self._conn:
             self._conn.execute(self._SCHEMA)
 
-    def get(self, fingerprint: str) -> Optional[ChunkRecord]:
-        row = self._conn.execute(
-            "SELECT fingerprint, kind, status, attempts, error, payload, telemetry, "
-            "meta, created FROM chunks WHERE fingerprint = ?",
-            (fingerprint,),
-        ).fetchone()
-        if row is None:
-            return None
+    _SELECT = (
+        "SELECT fingerprint, kind, status, attempts, error, payload, telemetry, "
+        "meta, created FROM chunks"
+    )
+
+    @staticmethod
+    def _record(row) -> ChunkRecord:
         return ChunkRecord(
             fingerprint=row[0],
             kind=row[1],
@@ -143,6 +142,12 @@ class SQLiteBackend:
             meta=json.loads(row[7]),
             created=row[8],
         )
+
+    def get(self, fingerprint: str) -> Optional[ChunkRecord]:
+        row = self._conn.execute(
+            self._SELECT + " WHERE fingerprint = ?", (fingerprint,)
+        ).fetchone()
+        return None if row is None else self._record(row)
 
     def put(self, record: ChunkRecord) -> None:
         with self._conn:  # one transaction: commit is atomic
@@ -177,21 +182,8 @@ class SQLiteBackend:
     def records(self) -> Iterator[ChunkRecord]:
         """All records, ordered by fingerprint (deterministic across
         backends — SQLite's natural row order is insertion-dependent)."""
-        for row in self._conn.execute(
-            "SELECT fingerprint, kind, status, attempts, error, payload, telemetry, "
-            "meta, created FROM chunks ORDER BY fingerprint"
-        ):
-            yield ChunkRecord(
-                fingerprint=row[0],
-                kind=row[1],
-                status=row[2],
-                attempts=row[3],
-                error=row[4],
-                payload=json.loads(row[5]) if row[5] is not None else None,
-                telemetry=json.loads(row[6]) if row[6] is not None else None,
-                meta=json.loads(row[7]),
-                created=row[8],
-            )
+        for row in self._conn.execute(self._SELECT + " ORDER BY fingerprint"):
+            yield self._record(row)
 
     def refresh(self) -> int:
         """Make peer commits visible.  WAL readers already see every

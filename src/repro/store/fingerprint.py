@@ -37,7 +37,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.common.errors import StoreError
-from repro.exec.tasks import BeamEvalContext, CampaignContext, MemoryAvfContext
 
 #: bump when a change to the simulator / evaluators makes previously
 #: stored chunk results stale (they will simply miss and recompute)
@@ -119,43 +118,12 @@ def canonical_json(value: Any) -> str:
 def context_payload(context: Any) -> dict:
     """The durable description of a chunk context.
 
-    The engine contexts are special-cased so the payload names exactly the
-    inputs that determine an evaluation: live objects that don't affect
-    results (executors, open pools) never enter the hash.  Custom contexts
-    either provide ``store_payload()`` or are canonicalised whole.
+    The engine contexts (:mod:`repro.exec.tasks`) name, in their
+    ``store_payload()``, exactly the inputs that determine an evaluation:
+    live objects that don't affect results (executors, open pools) never
+    enter the hash.  Other contexts either provide ``store_payload()`` too
+    or are canonicalised whole.
     """
-    if isinstance(context, CampaignContext):
-        return {
-            "kind": "campaign",
-            "device": context.device.name,
-            "arch": context.device.architecture,
-            "framework": context.framework.name,
-            "backend": context.framework.backend,
-            "ecc": context.ecc,
-            "root_seed": context.root_seed,
-            "workload": list(context.workload.fingerprint),
-            "on_crash": context.on_crash,
-        }
-    if isinstance(context, BeamEvalContext):
-        return {
-            "kind": "beam",
-            "device": context.device.name,
-            "arch": context.device.architecture,
-            "ecc": context.ecc,
-            "backend": context.backend,
-            "catalog": canonical(context.catalog),
-            "workload": list(context.workload.fingerprint),
-            "on_crash": context.on_crash,
-        }
-    if isinstance(context, MemoryAvfContext):
-        return {
-            "kind": "mem_avf",
-            "device": context.device.name,
-            "arch": context.device.architecture,
-            "backend": context.backend,
-            "workload": list(context.workload.fingerprint),
-            "on_crash": context.on_crash,
-        }
     if hasattr(context, "store_payload"):
         payload = dict(context.store_payload())
         payload.setdefault("kind", type(context).__name__)

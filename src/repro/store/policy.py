@@ -10,7 +10,7 @@ tasks' named RNG substreams, so a retry evaluates exactly the same work.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.common.errors import ConfigurationError
@@ -91,10 +91,11 @@ class ExecutionPolicy:
     """Every run-shaping knob of one engine run, in one object.
 
     The facade entry points (``run_campaign``/``run_beam``/``predict``),
-    the engines (``CampaignRunner``/``BeamExperiment``), the experiment
-    session and both command lines take exactly one
-    ``policy=ExecutionPolicy(...)``; ``policy=None`` means no store and
-    no retries, with every other field at its default.
+    the engines (``CampaignRunner``/``BeamExperiment``/``UncoreInjector``),
+    the experiment session and both command lines take exactly one
+    ``policy=ExecutionPolicy(...)``; ``policy=None`` stands for
+    :data:`STORELESS` (no store, no retries, every other field at its
+    default), and the executors default to it too.
 
     * ``store`` — the :class:`~repro.store.store.CampaignStore` completed
       chunks are replayed from and committed to (None: no caching),
@@ -152,3 +153,14 @@ class ExecutionPolicy:
     @property
     def write_allowed(self) -> bool:
         return self.store is not None
+
+    def without_store(self) -> "ExecutionPolicy":
+        """This policy as a chunk context carries it to the evaluators: the
+        store handle stays with the driving process (a connection neither
+        pickles nor survives a fork)."""
+        return replace(self, store=None, refresh=False)
+
+
+#: the policy ``policy=None`` stands for: no store, one attempt per chunk (a
+#: failing chunk re-raises its own exception), every other field at its default
+STORELESS = ExecutionPolicy(retries=0)

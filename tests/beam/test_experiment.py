@@ -91,3 +91,22 @@ class TestValidation:
         assert result.device == KEPLER_K40C.name
         assert result.beam_hours == 24
         assert result.fluence_n_cm2 > 0
+
+
+class TestGoldenLifetime:
+    def test_cached_engine_keeps_no_golden_context(self, experiment):
+        """The engine a run leaves in the worker state cache keeps its
+        golden outputs and trace, not the golden run's memory pool and
+        register ring: the footprint bits are read once, then dropped."""
+        from repro.beam.engine import BeamEngine
+        from repro.exec.worker import _STATE_CACHE
+
+        wl = get_workload("kepler", "FMXM", seed=2)
+        experiment.run(wl, ecc=EccMode.OFF, beam_hours=4, mode="expected", max_fault_evals=8)
+        (engine,) = [
+            state for state in _STATE_CACHE.values()
+            if isinstance(state, BeamEngine) and state.workload is wl
+        ]
+        assert engine.golden.context is None
+        assert engine.golden.ticks > 0
+        assert engine.target.footprint_bits["global"] > 0

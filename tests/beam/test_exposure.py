@@ -17,7 +17,10 @@ def _profile(arch, code, device, microbench=False, ecc=EccMode.ON):
     wl = get_microbench(arch, code) if microbench else get_workload(arch, code)
     catalog = catalog_for(device)
     engine = BeamEngine(device, wl, catalog, ecc)
-    return compute_exposure(device, wl, engine.golden, catalog), wl, catalog
+    profile = compute_exposure(
+        device, wl, engine.golden, catalog, engine.target.footprint_bits
+    )
+    return profile, wl, catalog
 
 
 class TestStructure:

@@ -8,6 +8,7 @@ import pytest
 
 from repro.arch.devices import KEPLER_K40C
 from repro.arch.ecc import EccMode
+from repro.arch.uncore import UncoreFitTable, UncoreUnitRates
 from repro.beam.experiment import BeamExperiment
 from repro.common.errors import ConfigurationError
 from repro.exec.engine import (
@@ -19,8 +20,20 @@ from repro.exec.engine import (
 from repro.exec.progress import ProgressMeter
 from repro.faultsim.campaign import CampaignRunner
 from repro.faultsim.frameworks import NvBitFi
+from repro.faultsim.uncore import UNCORE_EXCEPTIONS, UncoreInjector
 from repro.predict.model import measure_memory_avf
+from repro.telemetry import telemetry_session
 from repro.workloads.registry import get_workload
+
+#: most uncore faults leak into architectural state, so most injections
+#: re-execute the kernel (in the pool workers, at workers=2)
+_LEAKY = UncoreFitTable(
+    architecture="kepler",
+    units={
+        unit: UncoreUnitRates(fit_per_instance=1.0, p_due=0.2, p_sdc=0.6)
+        for unit in UNCORE_EXCEPTIONS
+    },
+)
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +130,26 @@ def test_memory_avf_bit_identical_across_worker_counts(workload):
     serial = measure_memory_avf(KEPLER_K40C, workload, strikes=12, seed=4)
     parallel = measure_memory_avf(KEPLER_K40C, workload, strikes=12, seed=4, workers=2)
     assert serial == parallel
+
+
+def test_uncore_bit_identical_across_worker_counts(workload):
+    def run(workers):
+        with telemetry_session() as telemetry:
+            injector = UncoreInjector(KEPLER_K40C, seed=6, table=_LEAKY, workers=workers)
+            try:
+                result = injector.run(workload, 16)
+            finally:
+                injector.executor.close()
+            counters = telemetry.registry.counters
+        return result.records, {
+            name: value for name, value in counters.items() if not name.startswith("span.")
+        }
+
+    serial_records, serial_counters = run(1)
+    parallel_records, parallel_counters = run(2)
+    assert parallel_records == serial_records
+    assert parallel_counters == serial_counters
+    assert serial_counters["uncore.injections"] == 16
 
 
 # -- observability hook -----------------------------------------------------------

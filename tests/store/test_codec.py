@@ -18,6 +18,7 @@ from repro.faultsim.frameworks import NvBitFi
 from repro.faultsim.outcomes import InjectionRecord, Outcome, StrikeEval
 from repro.store.codec import decode_results, decode_value, encode_results, encode_value
 from repro.store.fingerprint import STORE_SALT, chunk_fingerprint
+from repro.store.policy import ExecutionPolicy
 from repro.workloads.registry import get_workload
 
 
@@ -141,7 +142,7 @@ class TestSaltBump:
             chunk_fingerprint(
                 CampaignContext(
                     device=KEPLER_K40C, framework=NvBitFi(), ecc="on", root_seed=0,
-                    workload=workload, on_crash=policy,
+                    workload=workload, policy=ExecutionPolicy(on_crash=policy),
                 ),
                 tasks,
             )

@@ -9,7 +9,9 @@ micro-benchmark sweeps and ``ExperimentConfig`` take exactly one
 * replay sessions persist into the content-addressed store; a later
   serial run against the same store loads one only when a chunk misses,
   a parallel one before its pool forks, and either imports it instead of
-  re-capturing.
+  re-capturing;
+* a runner the worker state cache keeps for a repeated context loads and
+  saves its tape through the store of the run it currently serves.
 """
 
 import dataclasses
@@ -151,6 +153,70 @@ class TestReplaySessionPersistence:
         assert sessions[0].stats["captures"] == 0
         assert sessions[0].export_state() is not None
 
+    def test_repeated_context_saves_its_tape_to_each_store(self, tmp_path, monkeypatch):
+        """A second same-context campaign in one process evaluates on the
+        runner the first one left in the state cache.  That runner's tape
+        must reach the second run's store too, without being captured
+        again."""
+        workload = get_workload("kepler", "FMXM", seed=4)
+        worker_mod._STATE_CACHE.clear()
+        captures = []
+        real_capture = ReplaySession._capture
+
+        def counting_capture(session, thresholds):
+            captures.append(session)
+            return real_capture(session, thresholds)
+
+        monkeypatch.setattr(ReplaySession, "_capture", counting_capture)
+        tapes = []
+        for name in ("first.sqlite", "second.sqlite"):
+            policy = ExecutionPolicy(store=open_store(str(tmp_path / name)))
+            CampaignRunner(KEPLER_K40C, NvBitFi(), seed=4, policy=policy).run(workload, 10)
+            backend = policy.store.backend
+            tapes.append(
+                [backend.get(fp).kind for fp in backend.fingerprints()].count("replay_session")
+            )
+            if name == "first.sqlite":
+                first_captures = len(captures)
+        assert tapes == [1, 1]
+        assert first_captures >= 1 and len(captures) == first_captures
+
+    def test_cached_runner_loads_its_tape_through_the_current_store(
+        self, tmp_path, monkeypatch
+    ):
+        """A runner cached by a fully warm run (no session yet) that later
+        evaluates a missing chunk imports the tape through *that* run's
+        store, not the earlier run's closed handle."""
+        workload = get_workload("kepler", "FMXM", seed=4)
+        store_path = str(tmp_path / "replay.sqlite")
+        worker_mod._STATE_CACHE.clear()
+        cold = ExecutionPolicy(store=open_store(store_path))
+        CampaignRunner(KEPLER_K40C, NvBitFi(), seed=4, policy=cold).run(workload, 10)
+        worker_mod._STATE_CACHE.clear()
+        warm = ExecutionPolicy(store=open_store(store_path))
+        warm_runner = CampaignRunner(KEPLER_K40C, NvBitFi(), seed=4, policy=warm)
+        warm_runner.run(workload, 10)
+        assert _sessions(warm_runner) == []
+        warm.store.close()
+
+        backend = cold.store.backend
+        victim = next(fp for fp in backend.fingerprints() if backend.get(fp).kind == "campaign")
+        cold.store.quarantine(victim, "campaign", "knocked out", attempts=1)
+        captures = []
+        real_capture = ReplaySession._capture
+
+        def counting_capture(session, thresholds):
+            captures.append(session)
+            return real_capture(session, thresholds)
+
+        monkeypatch.setattr(ReplaySession, "_capture", counting_capture)
+        CampaignRunner(
+            KEPLER_K40C, NvBitFi(), seed=4,
+            policy=ExecutionPolicy(store=open_store(store_path)),
+        ).run(workload, 10)
+        (session,) = _sessions(warm_runner)  # the cached runner evaluated
+        assert captures == [] and session.stats["captures"] == 0
+
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",
         reason="pool workers inherit the parent's session only when forked",
@@ -161,9 +227,7 @@ class TestReplaySessionPersistence:
         workload = get_workload("kepler", "FMXM", seed=4)
         store_path = str(tmp_path / "replay.sqlite")
         # a serial run stores the tape (a parallel one captures it in its
-        # workers, where it cannot be saved); it must evaluate through its
-        # own runner, not one an earlier test left in the state cache
-        worker_mod._STATE_CACHE.clear()
+        # workers, where it cannot be saved)
         cold = CampaignRunner(
             KEPLER_K40C, NvBitFi(), seed=4,
             policy=ExecutionPolicy(store=open_store(store_path)),

@@ -208,3 +208,67 @@ def test_session_threads_policy_through_config(tmp_path):
         warm = dict(t2.registry.counters)
     assert _signature(first) == _signature(second)
     assert warm.get("store.misses", 0) == 0
+
+
+class _Kill(BaseException):
+    """Stands in for SIGKILL inside a chunk: no retry or quarantine sees it."""
+
+
+def _uncore(store=None, **kwargs):
+    from repro.arch.devices import KEPLER_K40C
+    from repro.arch.uncore import UncoreFitTable, UncoreUnitRates
+    from repro.faultsim.uncore import UNCORE_EXCEPTIONS, UncoreInjector
+
+    # most faults leak into architectural state, so most injections execute
+    table = UncoreFitTable(
+        architecture="kepler",
+        units={
+            unit: UncoreUnitRates(fit_per_instance=1.0, p_due=0.2, p_sdc=0.6)
+            for unit in UNCORE_EXCEPTIONS
+        },
+    )
+    workload = api.get_workload("kepler", "FMXM", seed=2)
+    with telemetry_session() as telemetry:
+        injector = UncoreInjector(
+            KEPLER_K40C, seed=2, table=table, policy=_policy(store), **kwargs
+        )
+        result = injector.run(workload, INJECTIONS)
+        counters = dict(telemetry.registry.counters)
+    return result, counters
+
+
+@pytest.mark.parametrize("backend", ["sqlite", "jsonl"])
+def test_interrupted_uncore_run_resumes_bit_identical(tmp_path, backend, monkeypatch):
+    import repro.faultsim.uncore as uncore_mod
+
+    store_path = str(tmp_path / f"uncore.{backend}")
+    baseline, baseline_counters = _uncore()
+
+    real_chunk = uncore_mod.run_uncore_chunk
+    calls = {"n": 0}
+
+    def dies_at_the_third_chunk(context, tasks):
+        calls["n"] += 1
+        if calls["n"] == 3:
+            raise _Kill()
+        return real_chunk(context, tasks)
+
+    monkeypatch.setattr(uncore_mod, "run_uncore_chunk", dies_at_the_third_chunk)
+    with pytest.raises(_Kill):
+        _uncore(store_path)
+
+    monkeypatch.setattr(uncore_mod, "run_uncore_chunk", real_chunk)
+    resumed, counters = _uncore(store_path)
+    assert _signature(resumed) == _signature(baseline)
+    assert counters["store.hits"] == 2
+    assert _domain(counters) == _domain(baseline_counters)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("chunk evaluated despite a warm cache")
+
+    monkeypatch.setattr(uncore_mod, "run_uncore_chunk", forbidden)
+    warm, warm_counters = _uncore(store_path)
+    assert _signature(warm) == _signature(baseline)
+    assert warm_counters.get("store.misses", 0) == 0
+    assert warm_counters["store.tasks_replayed"] == INJECTIONS
+    assert _domain(warm_counters) == _domain(baseline_counters)

@@ -30,7 +30,10 @@ and uncore literals by each injector's own injected-run code, before the
 engines shared one.  They are the oracle any rewrite of the simulator's
 hot paths or of the injected-run path is held to.  A pin may move only with an
 intended change of behaviour; re-derive it by printing
-``cell_digest(cell)`` and say in the change why it moved.
+``cell_digest(cell)`` and say in the change why it moved.  The uncore pins
+moved once, when the injector began dispatching through :mod:`repro.exec`:
+its records hash as before, and its counters gain the executor's
+``exec.tasks`` (8 per cell).
 """
 
 import hashlib
@@ -385,45 +388,45 @@ PINS = {
     "memavf-kepler-FMXM-cuda7":
         "a7dad550bcdc93f57e92824b28d2607860d54895dd23f3f53887575b86bc0eac",
     "uncore-kepler-BFS-ecc-off":
-        "a1929781958a1dd5db3bda23331c1a714b4d4ee98b9766608d246c5f6c908054",
+        "915b6331b1bd9dbd03cda0e44e29807fff9948a194efb059ec4af42f45180712",
     "uncore-kepler-BFS-ecc-on":
-        "a1929781958a1dd5db3bda23331c1a714b4d4ee98b9766608d246c5f6c908054",
+        "915b6331b1bd9dbd03cda0e44e29807fff9948a194efb059ec4af42f45180712",
     "uncore-kepler-CCL-ecc-off":
-        "a12bbc41f916f2329e2e27126b7cac06fb957f7c59cae210792a27d1a288f1fd",
+        "c683eb35973466b744595bad617eded67bb6a5575a78cf6ed345a381839c38af",
     "uncore-kepler-CCL-ecc-on":
-        "a12bbc41f916f2329e2e27126b7cac06fb957f7c59cae210792a27d1a288f1fd",
+        "c683eb35973466b744595bad617eded67bb6a5575a78cf6ed345a381839c38af",
     "uncore-kepler-FGAUSSIAN-ecc-off":
-        "390065020653bf82ad0915662195cd317e8283475cf2528e633c3f88c01cb0aa",
+        "44816eb507e236029b6302c3152fff2253ffcaf12122855c9e275b3e046c939e",
     "uncore-kepler-FGAUSSIAN-ecc-on":
-        "390065020653bf82ad0915662195cd317e8283475cf2528e633c3f88c01cb0aa",
+        "44816eb507e236029b6302c3152fff2253ffcaf12122855c9e275b3e046c939e",
     "uncore-kepler-FHOTSPOT-ecc-off":
-        "e2f0fa65c5866cb5a12394cde8d8b6bbaae8ed3e4ff520af9dafe937b89a7731",
+        "475d3437647ae5481825148b611727c840df96ed2eeea826e993c100a8d94873",
     "uncore-kepler-FHOTSPOT-ecc-on":
-        "e2f0fa65c5866cb5a12394cde8d8b6bbaae8ed3e4ff520af9dafe937b89a7731",
+        "475d3437647ae5481825148b611727c840df96ed2eeea826e993c100a8d94873",
     "uncore-kepler-FLAVA-ecc-off":
-        "b37b081769bbd8ffd4a3f5436051735643a9a042472dce4bd7b791d8b1938068",
+        "2eac43f6d6e552a139f0873976749eef52bb32ef4b1cb7a855318d1c58b773f4",
     "uncore-kepler-FLAVA-ecc-on":
-        "b37b081769bbd8ffd4a3f5436051735643a9a042472dce4bd7b791d8b1938068",
+        "2eac43f6d6e552a139f0873976749eef52bb32ef4b1cb7a855318d1c58b773f4",
     "uncore-kepler-FLUD-ecc-off":
-        "605faef3d772cda7a239b4123d36862b4268d3657b8b4e7bfd059ba98481823e",
+        "2141f273bbe7ffbae993a5d6a51cf78a5d059f8d692c04c632a9a63cb7468851",
     "uncore-kepler-FLUD-ecc-on":
-        "605faef3d772cda7a239b4123d36862b4268d3657b8b4e7bfd059ba98481823e",
+        "2141f273bbe7ffbae993a5d6a51cf78a5d059f8d692c04c632a9a63cb7468851",
     "uncore-kepler-FMXM-ecc-off":
-        "fd20704999c01096cdf79da6bb681199fe9abedf0117233f2295f0e0e795b977",
+        "c492f60df272b33fc45944dc1fb2b3f1417c0a6453d406e1aaca1bfaa2ece99a",
     "uncore-kepler-FMXM-ecc-on":
-        "fd20704999c01096cdf79da6bb681199fe9abedf0117233f2295f0e0e795b977",
+        "c492f60df272b33fc45944dc1fb2b3f1417c0a6453d406e1aaca1bfaa2ece99a",
     "uncore-kepler-MERGESORT-ecc-off":
-        "4ca9c22bb673e81571ecf37113e2682e8338e0b2a18e177e2c463cf7bfb25854",
+        "2471ef9d44dac26ecd8083f537514668b04826cbf5464dd286c7f972e54102f0",
     "uncore-kepler-MERGESORT-ecc-on":
-        "4ca9c22bb673e81571ecf37113e2682e8338e0b2a18e177e2c463cf7bfb25854",
+        "2471ef9d44dac26ecd8083f537514668b04826cbf5464dd286c7f972e54102f0",
     "uncore-kepler-NW-ecc-off":
-        "db0fff94e41fa38b2c2fc8cd91810cde3d1b9425e51f6b788e8b1510f9cebbb6",
+        "b27e4645a5a040ed70d542ff728ce9ca7cd3991702eb7633949cea01d20d3178",
     "uncore-kepler-NW-ecc-on":
-        "db0fff94e41fa38b2c2fc8cd91810cde3d1b9425e51f6b788e8b1510f9cebbb6",
+        "b27e4645a5a040ed70d542ff728ce9ca7cd3991702eb7633949cea01d20d3178",
     "uncore-kepler-QUICKSORT-ecc-off":
-        "2cbebe9ab0b49a6b62aad6b3079b3bda1447e6e8df4bccb7cfcbaf7b205ae707",
+        "36e919f9b121380352b60f86b2cc35409736846d2fdc9d548fa6939cbee8b75b",
     "uncore-kepler-QUICKSORT-ecc-on":
-        "2cbebe9ab0b49a6b62aad6b3079b3bda1447e6e8df4bccb7cfcbaf7b205ae707",
+        "36e919f9b121380352b60f86b2cc35409736846d2fdc9d548fa6939cbee8b75b",
 }
 
 
