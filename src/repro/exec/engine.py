@@ -675,6 +675,11 @@ class LeaseExecutor:
         store = policy.store
         backend_name = "jsonl" if isinstance(store.backend, JsonlBackend) else "sqlite"
         base_id = default_worker_id()
+        # with a kill armed, the chaos worker's peers hold until it has
+        # claimed a lease (the supervisor opens the gate should it exit
+        # first), so the kill cannot miss by finding every chunk drained
+        armed = self.chaos_kill_after is not None and 0 <= self.chaos_worker < self.workers
+        gate = multiprocessing.Event() if armed else None
         procs = []
         for index in range(self.workers):
             chaos = (
@@ -696,6 +701,7 @@ class LeaseExecutor:
                         self.campaign,
                         chaos,
                         stale_before,
+                        gate,
                     ),
                     daemon=True,
                 )
@@ -725,6 +731,8 @@ class LeaseExecutor:
                     reaped.add(index)
                     if proc.exitcode != 0:
                         telemetry.count("service.workers.died")
+                    if gate is not None and index == self.chaos_worker:
+                        gate.set()
                 if len(reaped) == len(procs):
                     if cancelled:
                         break

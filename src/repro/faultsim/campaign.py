@@ -322,8 +322,8 @@ class CampaignRunner:
         task has a private RNG substream, so classification order cannot
         perturb the draws), the *residual* tasks' fault-site ticks are
         mined into the replay session once (snapshots land just below the
-        hot ticks), and output comparison for surviving runs is one
-        vectorized numpy pass instead of N scalar ones.
+        faults that would run vanilla), and output comparison for surviving
+        runs is one vectorized numpy pass instead of N scalar ones.
         """
         target = self._target(workload)
         golden = target.golden
@@ -331,16 +331,15 @@ class CampaignRunner:
         records: List[Optional[InjectionRecord]] = [None] * len(tasks)
         pending: List[tuple] = []
         batched_compare = type(workload).compare is Workload.compare
-        target.settle_on_tape(
+        exact = target.settle_on_tape(
             groups, tasks, rngs, records,
             lambda j: self._inject_once(
                 workload, groups[tasks[j].group], tasks[j].target_index, rngs[j]
             ),
         )
-        if self.policy.replay:
-            residual = [tasks[j] for j in range(len(tasks)) if records[j] is None]
-            if residual:
-                self._mine_fault_ticks(target, groups, residual)
+        target.mine_fault_ticks(
+            groups, {j: task for j, task in enumerate(tasks) if records[j] is None}, exact
+        )
         for j in order:
             if records[j] is not None:
                 continue
@@ -362,40 +361,6 @@ class CampaignRunner:
                 records[j] = self._classify(group, plan, compare)
         _count(records[j] for j in order)
         return records
-
-    def _mine_fault_ticks(
-        self,
-        target: InjectionTarget,
-        groups: Dict[str, SiteGroup],
-        tasks: Sequence[InjectionTask],
-    ) -> None:
-        """Tell the replay session where this chunk's faults land so extra
-        snapshots sit just below the hot ticks.  Purely a perf hint: replay
-        is bit-identical from any valid boundary, so approximate (or even
-        wrong) ticks cost time, never correctness."""
-        golden = target.golden
-        ticks: List[float] = []
-        sizes: Dict[str, float] = {}
-        for task in tasks:
-            group = groups[task.group]
-            if group.mode is InjectionMode.REGISTER_FILE:
-                if self.ecc is EccMode.ON:
-                    continue  # classified analytically, never re-executed
-                ticks.append(float(task.target_index))
-            else:
-                size = sizes.get(group.name)
-                if size is None:
-                    size = sizes[group.name] = float(group.size(golden.trace))
-                if size > 0:
-                    # emission ordinal → approximate tick via the golden
-                    # run's mean stream density
-                    ticks.append(golden.ticks * float(task.target_index) / size)
-        if len(ticks) >= 4:  # a recapture costs a full golden re-execution
-            try:
-                target.replay_session().ensure_ticks(ticks)
-            except Exception:
-                pass  # advisory only; capture trouble surfaces (and falls
-                # back to vanilla) on the replay path itself
 
     # -- durable replay-session state ----------------------------------------------
     #

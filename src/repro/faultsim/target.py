@@ -22,7 +22,8 @@ owns
 * the choice between a replayed and a vanilla (``run_kernel``) execution;
 * the DUE/SDC/Masked verdict, with ``due_cause`` and ``contained``;
 * settling a chunk of injections on the golden tape, canary included
-  (:meth:`InjectionTarget.settle_on_tape`).
+  (:meth:`InjectionTarget.settle_on_tape`), and mining snapshots near the
+  fault sites left to run (:meth:`InjectionTarget.mine_fault_ticks`).
 
 Engines keep only what is their own: how they sample a fault, and how
 they turn a verdict into a record.
@@ -41,7 +42,7 @@ from repro.faultsim.batch import BatchEvaluator
 from repro.faultsim.outcomes import InjectionRecord, Outcome, StrikeEval
 from repro.faultsim.sandbox import WATCHDOG_FACTOR, InjectionSandbox
 from repro.sim.exceptions import ContainedCrashError, GpuDeviceException
-from repro.sim.injection import InjectionPlan, StorageStrike
+from repro.sim.injection import InjectionMode, InjectionPlan, StorageStrike
 from repro.sim.launch import KernelRun, run_kernel
 from repro.sim.replay import ReplaySession
 from repro.store.policy import STORELESS, ExecutionPolicy
@@ -49,6 +50,10 @@ from repro.telemetry import get_logger
 from repro.workloads.base import CompareResult, Workload
 
 _log = get_logger("faultsim.target")
+
+#: vanilla-bound faults (below the first snapshot) a chunk must leave to
+#: the replay session before their ticks are mined into new snapshots
+MINE_MIN_FAULTS = 4
 
 
 def outcome_of(compare: CompareResult) -> Outcome:
@@ -140,11 +145,11 @@ class InjectionTarget:
 
     @functools.cached_property
     def _tape_compare(self) -> Optional[bool]:
-        """Which verdicts the golden tape may give: all of them (True) when
-        the workload compares bitwise; only byte-identical runs and
-        illegal-address DUEs (False) under a custom rule that calls the
-        golden outputs a match; none (None) otherwise.  YOLO's rule calls
-        non-finite outputs an SDC, so a golden NaN would keep it off."""
+        """How the golden tape judges a run: by output bytes (True) when
+        the workload compares bitwise; by the workload's own rule on the
+        rebuilt outputs (False) when that rule calls the golden outputs a
+        match; not at all (None) otherwise.  YOLO's rule calls non-finite
+        outputs an SDC, so a golden NaN would keep it off."""
         workload = self.workload
         if type(workload).compare is Workload.compare:
             return True
@@ -153,6 +158,10 @@ class InjectionTarget:
             return False
         return None
 
+    def _verdict(self, outputs: Dict[str, np.ndarray]) -> Outcome:
+        """The outcome of a completed run with these outputs."""
+        return outcome_of(self.workload.compare(self.golden.outputs, outputs))
+
     def settle_on_tape(
         self,
         groups: Dict[str, Any],
@@ -160,25 +169,85 @@ class InjectionTarget:
         rngs: Sequence[np.random.Generator],
         records: List[Optional[InjectionRecord]],
         run_canary: Callable[[int], InjectionRecord],
-    ) -> None:
+    ) -> Dict[int, float]:
         """Fill ``records[j]`` for every injection the golden tape settles.
 
         Needs ``replay`` and ``batch_eval``.  Entries left None, with their
         RNG streams untouched, are for the caller to run.  The first chunk
         against a tape holds a canary: ``run_canary(j)`` runs injection
         ``j`` the ordinary way, and its record confirms or retracts the
-        chunk's tape verdicts.
+        chunk's tape verdicts.  Returns the golden tick of every fault
+        site the tape located but left to run, by position ``j``.
         """
         policy = self.policy
         if not (policy.replay and policy.batch_eval) or self._tape_compare is None:
-            return
-        validation = self.batch_evaluator().classify(
-            groups, tasks, rngs, records, self._tape_compare
+            return {}
+        evaluator = self.batch_evaluator()
+        validation = evaluator.classify(
+            groups, tasks, rngs, records, None if self._tape_compare else self._verdict
         )
         if validation is not None:
             j = validation.canary
             records[j] = run_canary(j)
             validation.resolve(records[j], records)
+        return evaluator.fault_ticks
+
+    def mine_fault_ticks(
+        self,
+        groups: Dict[str, Any],
+        pending: Dict[int, Any],
+        exact: Dict[int, float],
+    ) -> None:
+        """Tell the replay session where the faults left to run land, so
+        extra snapshots sit just below those that would otherwise run
+        vanilla.
+
+        ``pending[j]`` names a site group and a target index; ``exact[j]``
+        is the golden tick where the tape located that fault.
+        Otherwise a storage strike's target index is its tick, and an
+        emission ordinal maps to a tick through the golden run's mean
+        stream density.  Purely a perf hint: replay is bit-identical from
+        any valid boundary, so approximate (or even wrong) ticks cost
+        time, never correctness.
+        """
+        if not self.policy.replay:
+            return
+        golden = self.golden
+        ticks: List[float] = []
+        sizes: Dict[str, float] = {}
+        for j, task in pending.items():
+            tick = exact.get(j)
+            if tick is None:
+                group = groups[task.group]
+                if group.mode is InjectionMode.REGISTER_FILE:
+                    if self.ecc is EccMode.ON:
+                        continue  # settled analytically, never re-executed
+                    tick = float(task.target_index)
+                else:
+                    size = sizes.get(group.name)
+                    if size is None:
+                        size = sizes[group.name] = float(group.size(golden.trace))
+                    if size <= 0:
+                        continue
+                    tick = golden.ticks * float(task.target_index) / size
+            ticks.append(tick)
+        if len(ticks) < MINE_MIN_FAULTS:
+            return
+        session = self.replay_session()
+        session.ensure_capture()
+        # a fault below the first snapshot runs vanilla, every other one
+        # replays from a snapshot at most one grid step before it.  A
+        # recapture costs about three vanilla runs and a replay saves a
+        # fraction of one over a vanilla run, so only a cluster of
+        # vanilla-bound faults is worth one
+        floor = session.first_snapshot_tick()
+        ticks = [tick for tick in ticks if tick <= floor]
+        if len(ticks) >= MINE_MIN_FAULTS:
+            try:
+                session.ensure_ticks(ticks)
+            except Exception:
+                pass  # advisory only; capture trouble surfaces (and falls
+                # back to vanilla) on the replay path itself
 
     def execute(
         self,

@@ -32,7 +32,10 @@ table records the death — see :mod:`repro.service.lease`).
 ``chaos_kill_after=N`` is the fault-injection hook the chaos suite and
 the CLI's hidden ``--chaos-kill-after`` use: the worker SIGKILLs itself
 while *holding* its (N+1)-th lease — the most adversarial death point,
-leaving an unexpired claim on an unevaluated chunk.
+leaving an unexpired claim on an unevaluated chunk.  A ``chaos_gate``
+makes the kill certain: the chaos worker sets it once it holds its first
+lease, and its peers wait for it before they claim anything, so they
+cannot drain every chunk first.
 """
 
 from __future__ import annotations
@@ -82,6 +85,7 @@ class ServiceWorker:
         on_chunk: Optional[Callable[[int, List[Any], Optional[dict]], None]] = None,
         chaos_kill_after: Optional[int] = None,
         stale_before: Optional[float] = None,
+        chaos_gate: Optional[Any] = None,
     ) -> None:
         if policy.store is not store:
             # the evaluate/commit helpers write through policy.store; a
@@ -97,6 +101,9 @@ class ServiceWorker:
         self.sleep = sleep
         self.on_chunk = on_chunk
         self.chaos_kill_after = chaos_kill_after
+        #: an event (``set``/``wait``) the chaos worker sets holding its
+        #: first lease; its peers wait for it before their first claim
+        self.chaos_gate = chaos_gate
         #: clean-mode watermark: DONE/QUARANTINED records committed before
         #: this wall-clock moment are *stale* — treated as absent, so every
         #: chunk re-executes (the DAVOS ``clean`` semantics) while records
@@ -137,6 +144,8 @@ class ServiceWorker:
         # run start), so remembering them spares every later scan a full
         # record read+decode per settled chunk
         terminal: set = set()
+        if self.chaos_gate is not None and self.chaos_kill_after is None:
+            self.chaos_gate.wait()
         while True:
             self.store.refresh()
             self.liveness.beat()
@@ -261,6 +270,8 @@ class ServiceWorker:
     # -- chaos hook -------------------------------------------------------------
     def _chaos_tick(self) -> None:
         self._acquired += 1
+        if self.chaos_gate is not None and self.chaos_kill_after is not None:
+            self.chaos_gate.set()
         if (
             self.chaos_kill_after is not None
             and self._acquired > self.chaos_kill_after
@@ -283,6 +294,7 @@ def service_child_main(
     campaign: Optional[str],
     chaos_kill_after: Optional[int],
     stale_before: Optional[float] = None,
+    chaos_gate: Optional[Any] = None,
 ) -> None:
     """Entry point of a forked service worker process.
 
@@ -306,6 +318,7 @@ def service_child_main(
             campaign=campaign,
             chaos_kill_after=chaos_kill_after,
             stale_before=stale_before,
+            chaos_gate=chaos_gate,
         )
         worker.drain(fn, context, chunks, fingerprints)
     finally:

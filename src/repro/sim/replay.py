@@ -1009,6 +1009,14 @@ class ReplaySession:
         self.stats["captures"] += 1
         self._preset_cache.clear()
 
+    def first_snapshot_tick(self) -> float:
+        """The tick of the earliest snapshot: a fault at or below it runs
+        vanilla (0 without a tape, infinity without snapshots)."""
+        tape = self._tape
+        if tape is None:
+            return 0.0
+        return tape.snapshots[0].tick if tape.snapshots else math.inf
+
     # -- boundary selection ---------------------------------------------------
     def _preset(self, snap: SimSnapshot, plan: InjectionPlan) -> float:
         """OUTPUT_VALUE stream count the skipped prefix would accumulate."""

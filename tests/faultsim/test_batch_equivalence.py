@@ -267,7 +267,8 @@ class TestCustomCompareGuard:
 
     def test_tolerant_compare_settles_only_byte_identical_runs(self, settled):
         """The tape would call most of these runs SDC by their bytes; the
-        tolerant rule forgives many, so those must run."""
+        tolerant rule forgives many, so the tape must judge the rebuilt
+        outputs by that rule."""
         assert self._observe(_Tolerant, True) == self._observe(_Tolerant, False)
         assert settled["n"] > 0
 
@@ -290,7 +291,9 @@ class TestSupersededTapes:
     def test_recaptured_tape_is_freed(self, monkeypatch):
         """Snapshot mining recaptures the tape after a chunk is classified;
         once the campaign ends, no superseded tape is still alive — not
-        even until cyclic GC runs."""
+        even until cyclic GC runs.  Mining only recaptures for faults the
+        tape leaves below the first snapshot, so two snapshots per run put
+        that snapshot a third of the way in, and one such fault suffices."""
         seen = []
         original = ReplaySession.ensure_ticks
 
@@ -300,10 +303,12 @@ class TestSupersededTapes:
             seen.append((weakref.ref(before), self._tape is not before))
 
         monkeypatch.setattr(ReplaySession, "ensure_ticks", recording)
+        monkeypatch.setattr("repro.faultsim.target.MINE_MIN_FAULTS", 1)
         gc.disable()
         try:
             runner = CampaignRunner(
-                KEPLER_K40C, NvBitFi(), EccMode.ON, seed=0, policy=ExecutionPolicy()
+                KEPLER_K40C, NvBitFi(), EccMode.ON, seed=0,
+                policy=ExecutionPolicy(snapshots_per_run=2),
             )
             runner.run(get_workload("kepler", "NW", seed=0), 40)
             assert seen and seen[-1][1]  # the last chunk recaptured
