@@ -11,7 +11,6 @@ modeled element; see DESIGN.md §5.4).
 
 from __future__ import annotations
 
-import copy
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,17 +53,11 @@ _CAUSE_KEYS: dict = {}
 
 
 class _OpStrike(NamedTuple):
-    """A strike as the batched evaluator and snapshot mining see a task:
-    a site group and a target index (a storage strike's is its tick)."""
+    """An op strike as the batched evaluator sees a task: a site group and
+    a target index."""
 
     group: str
     target_index: int
-
-
-#: site groups for mining the ticks of address and storage strikes (a
-#: storage strike's target index is its tick; its stream goes unused)
-_ADDRESS_GROUP = SiteGroup("address", InjectionMode.ADDRESS, opclass_stream(*_ADDRESSABLE))
-_STORAGE_GROUP = SiteGroup("storage", InjectionMode.REGISTER_FILE, opclass_stream(OpClass.NOP))
 
 
 class BeamEngine:
@@ -191,23 +184,17 @@ class BeamEngine:
         telemetry as :meth:`evaluate_detailed` per strike.
 
         Functional-unit strikes draw their plans first.  The OUTPUT_VALUE
-        ones go to the golden tape, one site group per op class.
-        Snapshots are mined near the faults left to run — unprotected
-        storage strikes included, their ticks read off a copy of their RNG
-        — and each strike the tape does not settle then runs on its own,
-        with its RNG as the draws left it.
+        ones go to the golden tape, one site group per op class.  Each
+        strike the tape does not settle then runs on its own, replayed from
+        its nearest boundary, with its RNG as the draws left it.
         """
         plans: Dict[int, Tuple[OpClass, InjectionPlan]] = {}
-        ticks: Dict[int, float] = {}
         for j, resource in enumerate(resources):
             kind, _, name = resource.partition(":")
             if kind == "op":
                 op = OpClass[name]
                 plans[j] = op, self._op_plan(op, rngs[j])
-            elif kind == "mem" and self.ecc is EccMode.OFF:
-                ticks[j] = self._strike_tick(copy.deepcopy(rngs[j]))
-        settled, exact = self._settle_on_tape(plans)
-        self._mine_fault_ticks(plans, ticks, settled, exact)
+        settled = self._settle_on_tape(plans)
         evaluations = []
         for j, resource in enumerate(resources):
             if j not in plans:
@@ -219,32 +206,16 @@ class BeamEngine:
             evaluations.append(self._tally("op", evaluation))
         return evaluations
 
-    def _mine_fault_ticks(self, plans, ticks, settled, exact) -> None:
-        """Hand the target the fault sites of the strikes left to run."""
-        groups = {group.name: group for group in (_ADDRESS_GROUP, _STORAGE_GROUP)}
-        pending: Dict[int, _OpStrike] = {}
-        for j, (op, plan) in plans.items():
-            if j not in settled:
-                group = (
-                    self._op_group(op) if plan.mode is InjectionMode.OUTPUT_VALUE
-                    else _ADDRESS_GROUP
-                )
-                groups[group.name] = group
-                pending[j] = _OpStrike(group.name, plan.target_index)
-        for j, tick in ticks.items():
-            pending[j] = _OpStrike(_STORAGE_GROUP.name, int(tick))
-        self.target.mine_fault_ticks(groups, pending, exact)
-
     def _settle_on_tape(
         self, plans: Dict[int, Tuple[OpClass, InjectionPlan]]
-    ) -> Tuple[Dict[int, StrikeEval], Dict[int, float]]:
+    ) -> Dict[int, StrikeEval]:
         """The evaluations of the OUTPUT_VALUE op strikes the tape settles,
-        and the golden ticks of those it located but left, by position."""
+        by position."""
         batched = [
             j for j, (_, plan) in plans.items() if plan.mode is InjectionMode.OUTPUT_VALUE
         ]
         if not batched:
-            return {}, {}
+            return {}
         groups = {}
         tasks = []
         for j in batched:
@@ -267,15 +238,14 @@ class BeamEngine:
             )
 
         records: List[Optional[InjectionRecord]] = [None] * len(batched)
-        exact = self.target.settle_on_tape(
+        self.target.settle_on_tape(
             groups, tasks, [plans[j][1].rng for j in batched], records, run_canary
         )
-        settled = {
+        return {
             j: StrikeEval(record.outcome, record.due_cause, record.contained)
             for j, record in zip(batched, records)
             if record is not None
         }
-        return settled, {batched[i]: tick for i, tick in exact.items()}
 
     @staticmethod
     def _tally(kind: str, evaluation: StrikeEval) -> StrikeEval:

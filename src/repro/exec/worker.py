@@ -132,8 +132,8 @@ def run_injection_chunk(ctx: CampaignContext, tasks: Sequence[InjectionTask]) ->
     """Evaluate a chunk of campaign injections; returns InjectionRecords.
 
     Evaluated in group-sorted order (the same site machinery stays hot),
-    shipped in submission order; with replay on, also tape classification,
-    snapshot mining and one vectorized output compare."""
+    shipped in submission order; with replay on, also tape classification
+    and one vectorized output compare."""
     return _run_chunk(
         ctx, tasks, _campaign_state,
         lambda state, tasks, rngs: state[0].inject_batch(state[1], state[2], list(tasks), rngs),

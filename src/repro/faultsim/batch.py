@@ -83,7 +83,6 @@ import bisect
 import enum
 import heapq
 import os
-import weakref
 from collections import Counter
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -272,9 +271,8 @@ class _CellMap:
 class _TapeIndex:
     """Static per-tape index: emission schedule, value wiring, buffers.
 
-    Built for each chunk and dropped with it: an evaluator holds no
-    index, so it keeps no tape alive once a recapture (``ensure_ticks``)
-    replaces it.
+    Built for each chunk and dropped with it: an engine cache holds many
+    evaluators, and a kept index would keep its arrays alive as long.
     """
 
     def __init__(self, tape) -> None:
@@ -430,10 +428,6 @@ class _TapeIndex:
         """Mapped global span in bytes as of call ``ci`` (allocs precede it)."""
         pages = sum(p for alloc_ci, p in self._page_allocs if alloc_ci < ci)
         return max(1, pages) * _PAGE
-
-    def entry_tick(self, ci: int) -> float:
-        """The golden tick at the entry of call ``ci``."""
-        return float(self.tape.calls[ci - 1][3][0]) if ci > 0 else 0.0
 
     def recompute_plan(self, ci: int):
         """How to recompute call ``ci`` over (injection, lane) rows: its
@@ -755,13 +749,13 @@ class BatchEvaluator:
     def __init__(self, golden: KernelRun, session) -> None:
         self.golden = golden
         self.session = session
-        #: weak reference to the tape that survived canary validation (see
-        #: :class:`PendingValidation`): a tape superseded by a recapture
-        #: must be freed, not kept alive here.  Scoped to the validating
+        #: the tape that survived canary validation (see
+        #: :class:`PendingValidation`); a session's tape is fixed once set,
+        #: so this is that tape or None.  Scoped to the validating
         #: *process*: kernels can observe ambient per-process state (pids,
         #: globals), and worker state is inherited across fork — each
         #: process must earn its own validation.
-        self._validated_tape: Optional[weakref.ref] = None
+        self._validated_tape = None
         self._validated_pid = -1
         #: a failed validation disables the evaluator for good: the kernel's
         #: Python body observes something the tape cannot record
@@ -773,18 +767,13 @@ class BatchEvaluator:
         self.stats: Dict[str, Any] = {
             "classified": 0, "residual": 0, "due": 0, "fallback": Counter(),
         }
-        #: chunk position -> golden tick of the located fault site, for
-        #: every injection the last :meth:`classify` left unsettled
-        self.fault_ticks: Dict[int, float] = {}
 
     def _tape_index(self) -> Optional[_TapeIndex]:
         self.session.ensure_capture()
         tape = getattr(self.session, "_tape", None)
         if tape is None:
             return None
-        # built per chunk (a few ms even for YOLO's tape) rather than kept:
-        # an engine cache holds many evaluators, and a kept index would
-        # keep its tape alive after a recapture
+        # built per chunk (a few ms even for YOLO's tape) rather than kept
         index = _TapeIndex(tape)
         if not index.ok:
             _log.debug("tape not batch-analyzable; chunk falls back")
@@ -818,7 +807,6 @@ class BatchEvaluator:
         :meth:`PendingValidation.resolve` with the actual record before
         trusting (or discarding) this chunk's tape verdicts.
         """
-        self.fault_ticks = {}
         if self._disabled:
             self._residual(FallbackReason.DISABLED, len(tasks))
             return None
@@ -830,12 +818,7 @@ class BatchEvaluator:
             injs = self._fire_phase(index, groups, tasks, rngs)
             self._propagate(index, injs)
             filled, classified_runs = self._finalize(index, injs, records, verdict)
-        validated = self._validated_tape
-        if (
-            validated is not None
-            and validated() is index.tape
-            and self._validated_pid == os.getpid()
-        ):
+        if self._validated_tape is index.tape and self._validated_pid == os.getpid():
             self._count_classified(classified_runs)
             return None
         if not filled:
@@ -1448,8 +1431,6 @@ class BatchEvaluator:
                     self._fallback(inj, outcome)
             if inj.status == _RESIDUAL:
                 self._residual(inj.reason)
-                if inj.call >= 0:
-                    self.fault_ticks[inj.j] = index.entry_tick(inj.call)
                 continue
             if inj.status == _DUE:
                 # raising runs emit no post-run telemetry
@@ -1568,7 +1549,7 @@ class PendingValidation:
         """Compare the canary's vanilla record against the tape prediction."""
         evaluator = self.evaluator
         if actual == self.predicted:
-            evaluator._validated_tape = weakref.ref(self.index.tape)
+            evaluator._validated_tape = self.index.tape
             evaluator._validated_pid = os.getpid()
             evaluator._count_classified(self._classified_runs)
             return True

@@ -317,13 +317,12 @@ class CampaignRunner:
         Bit-identical to calling :meth:`inject_once` per task: evaluation
         happens in the same group-sorted order, records come back in
         submission order, and each record counts the same telemetry trio.
-        Batching buys three things — most injections resolve on the golden
+        Batching buys two things — most injections resolve on the golden
         tape without executing anything (:class:`BatchEvaluator`; every
         task has a private RNG substream, so classification order cannot
-        perturb the draws), the *residual* tasks' fault-site ticks are
-        mined into the replay session once (snapshots land just below the
-        faults that would run vanilla), and output comparison for surviving
-        runs is one vectorized numpy pass instead of N scalar ones.
+        perturb the draws), and output comparison for the *residual* runs,
+        each replayed from its nearest boundary, is one vectorized numpy
+        pass instead of N scalar ones.
         """
         target = self._target(workload)
         golden = target.golden
@@ -331,14 +330,11 @@ class CampaignRunner:
         records: List[Optional[InjectionRecord]] = [None] * len(tasks)
         pending: List[tuple] = []
         batched_compare = type(workload).compare is Workload.compare
-        exact = target.settle_on_tape(
+        target.settle_on_tape(
             groups, tasks, rngs, records,
             lambda j: self._inject_once(
                 workload, groups[tasks[j].group], tasks[j].target_index, rngs[j]
             ),
-        )
-        target.mine_fault_ticks(
-            groups, {j: task for j, task in enumerate(tasks) if records[j] is None}, exact
         )
         for j in order:
             if records[j] is not None:

@@ -19,11 +19,12 @@ owns
   never creates one);
 * the :class:`~repro.faultsim.sandbox.InjectionSandbox` and the
   ``WATCHDOG_FACTOR ×`` golden-ticks watchdog budget;
-* the choice between a replayed and a vanilla (``run_kernel``) execution;
+* the injected execution: replayed from the nearest boundary below the
+  fault, the kernel's start included, or vanilla (``run_kernel``) when
+  ``replay`` is off;
 * the DUE/SDC/Masked verdict, with ``due_cause`` and ``contained``;
 * settling a chunk of injections on the golden tape, canary included
-  (:meth:`InjectionTarget.settle_on_tape`), and mining snapshots near the
-  fault sites left to run (:meth:`InjectionTarget.mine_fault_ticks`).
+  (:meth:`InjectionTarget.settle_on_tape`).
 
 Engines keep only what is their own: how they sample a fault, and how
 they turn a verdict into a record.
@@ -42,7 +43,7 @@ from repro.faultsim.batch import BatchEvaluator
 from repro.faultsim.outcomes import InjectionRecord, Outcome, StrikeEval
 from repro.faultsim.sandbox import WATCHDOG_FACTOR, InjectionSandbox
 from repro.sim.exceptions import ContainedCrashError, GpuDeviceException
-from repro.sim.injection import InjectionMode, InjectionPlan, StorageStrike
+from repro.sim.injection import InjectionPlan, StorageStrike
 from repro.sim.launch import KernelRun, run_kernel
 from repro.sim.replay import ReplaySession
 from repro.store.policy import STORELESS, ExecutionPolicy
@@ -50,10 +51,6 @@ from repro.telemetry import get_logger
 from repro.workloads.base import CompareResult, Workload
 
 _log = get_logger("faultsim.target")
-
-#: vanilla-bound faults (below the first snapshot) a chunk must leave to
-#: the replay session before their ticks are mined into new snapshots
-MINE_MIN_FAULTS = 4
 
 
 def outcome_of(compare: CompareResult) -> Outcome:
@@ -169,19 +166,18 @@ class InjectionTarget:
         rngs: Sequence[np.random.Generator],
         records: List[Optional[InjectionRecord]],
         run_canary: Callable[[int], InjectionRecord],
-    ) -> Dict[int, float]:
+    ) -> None:
         """Fill ``records[j]`` for every injection the golden tape settles.
 
         Needs ``replay`` and ``batch_eval``.  Entries left None, with their
         RNG streams untouched, are for the caller to run.  The first chunk
         against a tape holds a canary: ``run_canary(j)`` runs injection
         ``j`` the ordinary way, and its record confirms or retracts the
-        chunk's tape verdicts.  Returns the golden tick of every fault
-        site the tape located but left to run, by position ``j``.
+        chunk's tape verdicts.
         """
         policy = self.policy
         if not (policy.replay and policy.batch_eval) or self._tape_compare is None:
-            return {}
+            return
         evaluator = self.batch_evaluator()
         validation = evaluator.classify(
             groups, tasks, rngs, records, None if self._tape_compare else self._verdict
@@ -190,64 +186,6 @@ class InjectionTarget:
             j = validation.canary
             records[j] = run_canary(j)
             validation.resolve(records[j], records)
-        return evaluator.fault_ticks
-
-    def mine_fault_ticks(
-        self,
-        groups: Dict[str, Any],
-        pending: Dict[int, Any],
-        exact: Dict[int, float],
-    ) -> None:
-        """Tell the replay session where the faults left to run land, so
-        extra snapshots sit just below those that would otherwise run
-        vanilla.
-
-        ``pending[j]`` names a site group and a target index; ``exact[j]``
-        is the golden tick where the tape located that fault.
-        Otherwise a storage strike's target index is its tick, and an
-        emission ordinal maps to a tick through the golden run's mean
-        stream density.  Purely a perf hint: replay is bit-identical from
-        any valid boundary, so approximate (or even wrong) ticks cost
-        time, never correctness.
-        """
-        if not self.policy.replay:
-            return
-        golden = self.golden
-        ticks: List[float] = []
-        sizes: Dict[str, float] = {}
-        for j, task in pending.items():
-            tick = exact.get(j)
-            if tick is None:
-                group = groups[task.group]
-                if group.mode is InjectionMode.REGISTER_FILE:
-                    if self.ecc is EccMode.ON:
-                        continue  # settled analytically, never re-executed
-                    tick = float(task.target_index)
-                else:
-                    size = sizes.get(group.name)
-                    if size is None:
-                        size = sizes[group.name] = float(group.size(golden.trace))
-                    if size <= 0:
-                        continue
-                    tick = golden.ticks * float(task.target_index) / size
-            ticks.append(tick)
-        if len(ticks) < MINE_MIN_FAULTS:
-            return
-        session = self.replay_session()
-        session.ensure_capture()
-        # a fault below the first snapshot runs vanilla, every other one
-        # replays from a snapshot at most one grid step before it.  A
-        # recapture costs about three vanilla runs and a replay saves a
-        # fraction of one over a vanilla run, so only a cluster of
-        # vanilla-bound faults is worth one
-        floor = session.first_snapshot_tick()
-        ticks = [tick for tick in ticks if tick <= floor]
-        if len(ticks) >= MINE_MIN_FAULTS:
-            try:
-                session.ensure_ticks(ticks)
-            except Exception:
-                pass  # advisory only; capture trouble surfaces (and falls
-                # back to vanilla) on the replay path itself
 
     def execute(
         self,
@@ -264,9 +202,10 @@ class InjectionTarget:
         watchdog = WATCHDOG_FACTOR * self.golden.ticks
         try:
             if self.policy.replay:
-                # fork from the nearest snapshot below the fault site and
-                # execute only the post-fault suffix (bit-identical to the
-                # full run; the session falls back to vanilla on its own)
+                # fork from the nearest boundary below the fault site (the
+                # kernel's start at worst) and execute only the post-fault
+                # suffix, bit-identical to the full run; the session falls
+                # back to vanilla on its own
                 return self.sandbox.run(
                     self.replay_session().run,
                     plan=plan,

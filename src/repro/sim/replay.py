@@ -8,8 +8,8 @@ guarantees it.  This module removes that redundancy, mirroring DAVOS's
 1. **Capture** — :class:`RecordingContext` runs the kernel once (fault-free)
    and records a *tape*: the sequence of DSL calls with their return values,
    plus :class:`SimSnapshot` checkpoints of complete simulator state at K
-   evenly-spaced ticks (and on demand at sampled fault-site ticks, see
-   :meth:`ReplaySession.ensure_ticks`).
+   evenly-spaced ticks.  The kernel's start is boundary zero: a fault at
+   or before the first snapshot replays from there.
 
 2. **Replay** — :class:`ReplayContext` re-runs the same kernel function, but
    every DSL call before the chosen restore point is *skipped*: the recorded
@@ -17,7 +17,9 @@ guarantees it.  This module removes that redundancy, mirroring DAVOS's
    point the snapshot is written into the context (memory planes, register
    ring, mask stack, trace accounting, tick), the injection plan/strikes are
    armed with their stream counters preset, and execution goes *live* — the
-   post-fault suffix runs through the ordinary (vanilla) code paths.
+   post-fault suffix runs through the ordinary (vanilla) code paths.  From
+   the kernel's start nothing is skipped or restored: the faults are armed
+   before the first call, as :func:`~repro.sim.launch.run_kernel` arms them.
 
 3. **Golden forwarding** — once every fault has landed (the plan fired,
    every strike applied), a suffix call whose arguments the fault cone never
@@ -51,7 +53,6 @@ consulted).
 
 from __future__ import annotations
 
-import bisect
 import copy
 import math
 from dataclasses import dataclass
@@ -106,9 +107,6 @@ _STEP = "__step__"
 
 #: encoded spec for a ``None`` return
 _RET_NONE = ("n",)
-
-#: cap on fault-site snapshots mined on top of the evenly-spaced base grid
-_MAX_EXTRA_SNAPSHOTS = 48
 
 # -- golden forwarding (forward-slice replay) --------------------------------
 # Once every fault has landed, a call whose arguments the fault never touched
@@ -523,7 +521,7 @@ class ReplayContext(KernelContext):
         self._rp_strikes = list(strikes)
         self._rp_preset = stream_preset
         self._rp_vals: Dict[int, Val] = {}
-        if restore_at <= 0:  # defensive: sessions route this to run_kernel
+        if restore_at <= 0:  # the kernel's start: arm as run_kernel does
             self._rp_arm()
             self._rp_live = True
         elif plan is not None:
@@ -875,6 +873,19 @@ def _restore_rng_states(saved) -> None:
         rng.bit_generator.state = copy.deepcopy(state)
 
 
+#: the kernel's start: boundary zero, below every fault site.  A replay
+#: from it skips and restores nothing (:class:`ReplayContext` arms the
+#: faults before the first call), so only its call index and its zero
+#: stream cursors are read
+_KERNEL_START = SimSnapshot(
+    call_index=0, tick=0.0, vreg_counter=0, arith_since_deadcode=0,
+    buffers=[], mask_stack=[], ring=[],
+    global_bytes=0, shared_bytes=0, barriers=0, host_syncs=0,
+    inst_acc=[], issue_acc=[], touched=[], act_acc=0.0, launch_acc=0.0,
+    cum_ops={}, cum_addr=0.0,
+)
+
+
 def _reset_faults(plan: Optional[InjectionPlan], strikes: Sequence[StorageStrike]) -> None:
     """Return plan/strikes to their pre-run condition for a vanilla rerun."""
     if plan is not None:
@@ -890,10 +901,12 @@ class ReplaySession:
 
     Engines construct one session per workload configuration, then call
     :meth:`run` instead of :func:`run_kernel` for each faulty execution.
-    The session transparently falls back to the vanilla path whenever
-    replay is not applicable (no usable snapshot before the fault site) or
-    anything unexpected happens — restoring fault RNG states first, so the
-    fallback run is bit-identical to a never-attempted replay.
+    Every run replays from the nearest boundary below its fault sites —
+    the kernel's start when no snapshot qualifies.  The session runs
+    vanilla only without a tape (the capture failed) or when a replay
+    breaks its contract, restoring fault RNG states first, so the fallback
+    run is bit-identical to a never-attempted replay.  ``expected_ticks``
+    is the golden run's tick count, which places the snapshots.
     """
 
     def __init__(
@@ -904,7 +917,8 @@ class ReplaySession:
         ecc: EccMode = EccMode.ON,
         backend: str = "cuda10",
         snapshots_per_run: int = 16,
-        expected_ticks: Optional[float] = None,
+        *,
+        expected_ticks: float,
     ) -> None:
         self.device = device
         self.kernel = kernel
@@ -913,24 +927,19 @@ class ReplaySession:
         self.backend = backend
         self.snapshots_per_run = max(1, int(snapshots_per_run))
         self._expected_ticks = expected_ticks
-        if launch.warp_lanes:
-            self._num_lanes = launch.total_threads // device.warp_size
-        else:
-            self._num_lanes = launch.total_threads
         self._tape: Optional[ReplayTape] = None
         self._failed = False
-        self._extra: List[float] = []
         self._preset_cache: Dict[tuple, float] = {}
         self.stats = {"captures": 0, "replays": 0, "vanilla": 0, "fallbacks": 0}
 
     # -- capture ------------------------------------------------------------
     def _thresholds(self) -> Tuple[float, ...]:
-        total = float(self._expected_ticks or 0.0)
+        """K evenly-spaced snapshot ticks over the golden run."""
+        total = float(self._expected_ticks)
         if total <= 0:
-            return tuple(self._extra)
+            return ()
         k = self.snapshots_per_run
-        base = [total * (j + 1) / (k + 1) for j in range(k)]
-        return tuple(sorted(base + self._extra))
+        return tuple(total * (j + 1) / (k + 1) for j in range(k))
 
     def _capture(self, thresholds: Sequence[float]) -> ReplayTape:
         ctx = RecordingContext(
@@ -954,68 +963,10 @@ class ReplaySession:
         if self._tape is not None or self._failed:
             return
         try:
-            if self._expected_ticks is None:
-                # probe run to learn the tick span for snapshot placement
-                self._expected_ticks = self._capture(()).final_tick
             self._tape = self._capture(self._thresholds())
             self.stats["captures"] += 1
         except Exception:
             self._failed = True
-
-    def ensure_ticks(self, ticks: Sequence[float]) -> None:
-        """Mine on-demand snapshots near sampled fault-site ticks.
-
-        A snapshot lands at the first call entry whose tick ≥ its threshold,
-        and boundaries must satisfy ``snapshot.tick < fault tick`` strictly —
-        so each threshold is backed off by 2·lanes (one emission advances the
-        tick by up to active_count·weight).  A snapshot that still lands at
-        or past its fault tick is simply rejected by boundary selection;
-        correctness never depends on mining.  Purely a performance feature:
-        any valid boundary replays bit-identically, so per-chunk variation
-        in mined ticks across worker counts is safe.
-        """
-        self.ensure_capture()
-        if self._tape is None or not ticks:
-            return
-        total = float(self._expected_ticks or self._tape.final_tick)
-        if total <= 0:
-            return
-        spacing = total / (self.snapshots_per_run + 1)
-        min_gap = spacing / 4.0
-        slack = 2.0 * self._num_lanes
-        existing = list(self._thresholds())
-        added = False
-        for tick in sorted(float(t) for t in ticks):
-            if len(self._extra) >= _MAX_EXTRA_SNAPSHOTS:
-                break
-            tau = tick - slack
-            if tau <= 0.0 or tau >= total:
-                continue
-            i = bisect.bisect_left(existing, tau)
-            if i < len(existing) and existing[i] - tau < min_gap:
-                continue
-            if i > 0 and tau - existing[i - 1] < min_gap:
-                continue
-            existing.insert(i, tau)
-            self._extra.append(tau)
-            added = True
-        if not added:
-            return
-        try:
-            tape = self._capture(tuple(existing))
-        except Exception:
-            return  # keep the old tape; extra thresholds stay for next time
-        self._tape = tape
-        self.stats["captures"] += 1
-        self._preset_cache.clear()
-
-    def first_snapshot_tick(self) -> float:
-        """The tick of the earliest snapshot: a fault at or below it runs
-        vanilla (0 without a tape, infinity without snapshots)."""
-        tape = self._tape
-        if tape is None:
-            return 0.0
-        return tape.snapshots[0].tick if tape.snapshots else math.inf
 
     # -- boundary selection ---------------------------------------------------
     def _preset(self, snap: SimSnapshot, plan: InjectionPlan) -> float:
@@ -1035,8 +986,9 @@ class ReplaySession:
         plan: Optional[InjectionPlan],
         strikes: Sequence[StorageStrike],
         watchdog_limit: Optional[float],
-    ) -> Optional[SimSnapshot]:
-        """Latest snapshot strictly before every fault site (or None).
+    ) -> SimSnapshot:
+        """Latest snapshot strictly before every fault site, else the
+        kernel's start.
 
         Strikes apply at the first emission where ``tick >= strike.tick``,
         so the boundary tick must be strictly below the earliest strike; a
@@ -1044,12 +996,9 @@ class ReplaySession:
         stream count must not exceed the target index.  All conditions are
         monotone in tick, so scan until the first violation.
         """
-        tape = self._tape
-        if tape is None:
-            return None
         earliest_strike = min((s.tick for s in strikes), default=math.inf)
-        best: Optional[SimSnapshot] = None
-        for snap in tape.snapshots:
+        best = _KERNEL_START
+        for snap in self._tape.snapshots:
             if snap.tick >= earliest_strike:
                 break
             if watchdog_limit is not None and snap.tick > watchdog_limit:
@@ -1071,15 +1020,13 @@ class ReplaySession:
         strikes: Sequence[StorageStrike] = (),
         watchdog_limit: Optional[float] = None,
     ) -> KernelRun:
-        """Execute one (possibly faulty) run, replaying when profitable."""
+        """Execute one (possibly faulty) run from its nearest boundary."""
         self.ensure_capture()
         strikes = list(strikes)
-        boundary = None
-        if self._tape is not None:
-            boundary = self._select(plan, strikes, watchdog_limit)
-        if boundary is None or boundary.call_index <= 0:
+        if self._tape is None:
             self.stats["vanilla"] += 1
             return self._vanilla(plan, strikes, watchdog_limit)
+        boundary = self._select(plan, strikes, watchdog_limit)
         saved = _rng_states(plan, strikes)
         try:
             run = self._replay(boundary, plan, strikes, watchdog_limit)
@@ -1162,13 +1109,14 @@ class ReplaySession:
             "consts": tape.consts,
             "arrays": tape.arrays,
             "snapshots": tape.snapshots,
-            "extra_ticks": list(self._extra),
         }
 
     def import_state(self, payload) -> bool:
         """Adopt a previously exported tape; False (and no change) on any
         mismatch — unpickled arrays come back writable, so everything the
-        tape shares with replays is re-frozen here."""
+        tape shares with replays is re-frozen here.  Every snapshot in the
+        payload is a boundary, including those an older session mined at
+        fault sites (its ``extra_ticks`` field is ignored)."""
         try:
             if not isinstance(payload, dict) or payload.get("version") != 3:
                 return False
@@ -1198,8 +1146,6 @@ class ReplaySession:
         except Exception:
             return False
         self._tape = tape
-        self._expected_ticks = payload.get("expected_ticks")
-        self._extra = sorted(float(t) for t in payload.get("extra_ticks", ()))
         self._failed = False
         self._preset_cache.clear()
         return True

@@ -14,9 +14,6 @@ suites applies — those record wall-clock seconds, the one thing a faster
 evaluation strategy is supposed to change.
 """
 
-import gc
-import weakref
-
 import numpy as np
 import pytest
 
@@ -24,11 +21,8 @@ from repro.api import ExecutionPolicy, get_workload, run_beam, run_campaign
 from repro.arch.devices import KEPLER_K40C, VOLTA_V100
 from repro.arch.dtypes import DType
 from repro.arch.ecc import EccMode
-from repro.faultsim.campaign import CampaignRunner
-from repro.faultsim.frameworks import NvBitFi
 from repro.faultsim.target import InjectionTarget
 from repro.sim.launch import LaunchConfig
-from repro.sim.replay import ReplaySession
 from repro.store.codec import decode_results, encode_results
 from repro.telemetry import capture
 from repro.workloads.base import CompareResult, Workload, WorkloadSpec
@@ -285,36 +279,6 @@ class TestCustomCompareGuard:
         workload = get_workload(arch, code, seed=0)
         golden = InjectionTarget(device, workload, EccMode.ON, "cuda10").golden.outputs
         assert workload.compare(golden, golden) is CompareResult.MATCH
-
-
-class TestSupersededTapes:
-    def test_recaptured_tape_is_freed(self, monkeypatch):
-        """Snapshot mining recaptures the tape after a chunk is classified;
-        once the campaign ends, no superseded tape is still alive — not
-        even until cyclic GC runs.  Mining only recaptures for faults the
-        tape leaves below the first snapshot, so two snapshots per run put
-        that snapshot a third of the way in, and one such fault suffices."""
-        seen = []
-        original = ReplaySession.ensure_ticks
-
-        def recording(self, ticks):
-            before = self._tape
-            original(self, ticks)
-            seen.append((weakref.ref(before), self._tape is not before))
-
-        monkeypatch.setattr(ReplaySession, "ensure_ticks", recording)
-        monkeypatch.setattr("repro.faultsim.target.MINE_MIN_FAULTS", 1)
-        gc.disable()
-        try:
-            runner = CampaignRunner(
-                KEPLER_K40C, NvBitFi(), EccMode.ON, seed=0,
-                policy=ExecutionPolicy(snapshots_per_run=2),
-            )
-            runner.run(get_workload("kepler", "NW", seed=0), 40)
-            assert seen and seen[-1][1]  # the last chunk recaptured
-            assert all(ref() is None for ref, _ in seen)
-        finally:
-            gc.enable()
 
 
 class TestRecordCodecRoundTrip:

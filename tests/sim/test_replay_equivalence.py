@@ -1,7 +1,8 @@
 """Checkpoint/replay ≡ vanilla-execution equivalence suite.
 
-Replay forks every injected run from the nearest golden snapshot and
-executes only the post-fault suffix; the contract is that nothing
+Replay forks every injected run from the nearest golden snapshot (the
+kernel's start when none lies below the fault) and executes only the
+post-fault suffix; the contract is that nothing
 observable changes.  These tests pin it end to end: campaign records, DUE
 breakdowns, beam tallies/FITs, uncore and CAROL-FI records and captured
 telemetry are bit-identical with replay on or off, serial or parallel, ECC
@@ -239,6 +240,76 @@ class TestWildStoreForwarding:
         assert mismatches == []
 
 
+class TestKernelStartBoundary:
+    @pytest.mark.parametrize("case", ["output_value", "address", "strike", "watchdog"])
+    def test_faults_before_the_first_snapshot_replay_from_the_start(self, case):
+        """The kernel's start is boundary zero: a fault at or before the
+        first snapshot replays from there, with golden forwarding, and
+        gives exactly what ``run_kernel`` gives — outputs, trace, ticks,
+        DUE class and the fault RNG's state after the run."""
+        launch = LaunchConfig(grid_blocks=2, threads_per_block=32)
+        golden = run_kernel(KEPLER_K40C, _wild_store_kernel, launch)
+        session = ReplaySession(
+            KEPLER_K40C, _wild_store_kernel, launch,
+            snapshots_per_run=1, expected_ticks=golden.ticks,
+        )
+        session.ensure_capture()
+        watchdog = golden.ticks / 4
+        assert watchdog < session._tape.snapshots[0].tick
+
+        def faults(seed):
+            rng = np.random.default_rng(seed)
+            if case == "output_value":
+                plan = InjectionPlan(
+                    mode=InjectionMode.OUTPUT_VALUE,
+                    stream=opclass_stream(OpClass.FADD),
+                    target_index=0,
+                    fault_model=FaultModel.SINGLE_BIT,
+                    rng=rng,
+                )
+                return rng, {"plan": plan}
+            if case == "address":
+                plan = InjectionPlan(
+                    mode=InjectionMode.ADDRESS,
+                    stream=opclass_stream(OpClass.LDG, OpClass.STG),
+                    target_index=0,
+                    fault_model=FaultModel.SINGLE_BIT,
+                    rng=rng,
+                )
+                return rng, {"plan": plan}
+            if case == "strike":
+                return rng, {"strikes": (StorageStrike(tick=0.0, space="global", rng=rng),)}
+            return rng, {"watchdog_limit": watchdog}
+
+        def observe(run, seed):
+            rng, kwargs = faults(seed)
+            try:
+                result = run(**kwargs)
+            except GpuDeviceException as exc:
+                observed = type(exc).__name__
+            else:
+                trace = result.trace
+                observed = (
+                    {name: data.tobytes() for name, data in result.outputs.items()},
+                    dict(trace.instances),
+                    dict(trace.issues),
+                    trace.active_lane_sum,
+                    trace.launched_lane_sum,
+                    trace.global_bytes,
+                    result.ticks,
+                )
+            return observed, rng.bit_generator.state
+
+        seeds = range(12)
+        for seed in seeds:
+            vanilla = observe(
+                lambda **kw: run_kernel(KEPLER_K40C, _wild_store_kernel, launch, **kw), seed
+            )
+            assert observe(session.run, seed) == vanilla, seed
+        assert session.stats["vanilla"] == 0
+        assert session.stats["replays"] == len(seeds)
+
+
 def _trace_reading_kernel(ctx):
     """Reads ``ctx.trace`` halfway through the loop, which flushes the
     batched per-op accounting into the trace mid-run."""
@@ -360,12 +431,12 @@ class TestSessionCodecRoundTrip:
         assert not session.import_state(stale)
         after = session.export_state()
         assert after["expected_ticks"] == before["expected_ticks"] == golden.ticks
-        assert after["extra_ticks"] == before["extra_ticks"] == []
         assert after["snapshots"] is before["snapshots"]
         assert session.stats["captures"] == 1
 
     def test_import_rejects_garbage(self):
         workload = get_workload("kepler", "FMXM", seed=13)
+        golden = run_kernel(KEPLER_K40C, workload.kernel, workload.sim_launch())
         session = ReplaySession(
             KEPLER_K40C,
             workload.kernel,
@@ -373,6 +444,7 @@ class TestSessionCodecRoundTrip:
             ecc=EccMode.ON,
             backend="cuda10",
             snapshots_per_run=8,
+            expected_ticks=golden.ticks,
         )
         assert not session.import_state({"bogus": True})
         assert session.export_state() is None  # nothing captured yet
